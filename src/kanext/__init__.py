@@ -58,8 +58,7 @@ from .kan import (
     ExtensionProblem,
     ExtensionResult,
     FunctorMap,
-    maximal_extension,
-    minimal_extension,
+    extension,
     verify_monotonicity,
     verify_optimality_bruteforce,
     verify_reduction,

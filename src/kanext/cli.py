@@ -24,14 +24,13 @@ import numpy as np
 from .bf_oracle import random_toy_problem
 from .kan import (
     ExtensionProblem,
-    maximal_extension,
-    minimal_extension,
+    extension,
     verify_monotonicity,
     verify_optimality_bruteforce,
     verify_reduction,
 )
 from .lp import exists_joint_stochastic_map, exists_uniform_map
-from .pcat import CONTRAVARIANT, COVARIANT, ResourceRef, ext_leq
+from .pcat import CONTRAVARIANT, COVARIANT, VALUE_SLACK, ResourceRef, ext_leq
 from .prob import (
     Dist,
     InvariantViolation,
@@ -137,6 +136,8 @@ def build_candidates(cfg: dict, source_kind: str, target_payload) -> tuple[tuple
             raise ConfigError("grid candidates need a distribution-valued source")
         step = _validate_step(float(_require(spec, "step")))
         length = int(_require(spec, "length"))
+        if length < 1:
+            raise ConfigError(f"grid length {length} must be at least 1")
         return tuple(simplex_grid(length, step)), False
     if kind == "spectral":
         if not isinstance(target_payload, DensityMatrix):
@@ -207,7 +208,7 @@ def cmd_extend(cfg: dict) -> tuple[int, dict]:
         tuple(ResourceRef(functor.source_theory, p) for p in payloads),
         candidates_complete=complete,
     )
-    y = ResourceRef(theory_id, target_payload)
+    lo, hi = extension(problem, ResourceRef(theory_id, target_payload))
     doc = {
         "command": "extend",
         "theory": theory_id,
@@ -215,8 +216,8 @@ def cmd_extend(cfg: dict) -> tuple[int, dict]:
         "monotone": monotone.name,
         "variance": variance,
         "candidates": len(problem.candidates),
-        "minimal": minimal_extension(problem, y).to_json(),
-        "maximal": maximal_extension(problem, y).to_json(),
+        "minimal": lo.to_json(),
+        "maximal": hi.to_json(),
     }
     return EXIT_OK, doc
 
@@ -330,7 +331,7 @@ def _verify_data_processing(cfg: dict, rng: np.random.Generator) -> dict:
             continue
         before = kl_divergence(p, q)
         after = kl_divergence(p2, q2)
-        if not ext_leq(after, before, 1e-9):
+        if not ext_leq(after, before, VALUE_SLACK):
             violations.append(
                 {"instance": i, "reason": "divergence increased",
                  "before": ext_to_json(before), "after": ext_to_json(after)}
@@ -358,13 +359,12 @@ def _verify_coincidence(cfg: dict, rng: np.random.Generator) -> dict:
         )
         y = ResourceRef("qrand_quniform", rho)
         reference = spectral_entropy(rho)
-        lo = minimal_extension(problem, y).value
-        hi = maximal_extension(problem, y).value
+        lo, hi = (side.value for side in extension(problem, y))
         sampled = measurement_entropy_search(rho, bases, int(cfg.get("seed", 0)) + i)
         if abs(lo - reference) > tol or abs(hi - reference) > tol:
             violations.append({"instance": i, "minimal": lo, "maximal": hi,
                                "reference": reference})
-        elif sampled < reference - 1e-9:
+        elif sampled < reference - VALUE_SLACK:
             violations.append({"instance": i, "reason": "sampled search beat spectrum",
                                "sampled": sampled, "reference": reference})
     return {"passed": not violations, "checked": samples, "violations": violations}
@@ -474,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
         if int(cfg.get("seed", 0)) < 0:
             raise ConfigError("seed must be nonnegative")
         code, doc = run(cfg)
-    except (ConfigError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(json.dumps(doc, indent=2, sort_keys=True, default=_json_default))

@@ -12,6 +12,13 @@ and in which direction the arrow points, depends on the variance:
 
 The empty-set constants are the initial (0) and terminal (inf) objects of
 the value poset.  Infinity is never summed with anything, only compared.
+
+The four rows collapse to one boolean per side,
+``takes_inf = (side is minimal) == covariant``, which fixes the aggregate
+(inf or sup), the empty value (inf or 0), the side of the competitor
+hypothesis in the optimality check and the direction of the universal
+property (a competitor G satisfies G <= ext iff ``takes_inf``).
+``extension`` computes both sides in one sweep over the candidates.
 """
 
 from __future__ import annotations
@@ -24,13 +31,12 @@ import numpy as np
 from .prob import INF, ExtValue, ext_to_json
 from .pcat import (
     COVARIANT,
+    VALUE_SLACK,
     MonotoneSpec,
     ReachabilityOracle,
     ResourceRef,
     ext_leq,
 )
-
-SANDWICH_SLACK = 1e-9
 
 
 class EnumerationBudgetError(ValueError):
@@ -39,17 +45,12 @@ class EnumerationBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class FunctorMap:
-    """Object map of a functor between theories; free arrows map to free arrows.
-
-    ``preserves_free`` is an assertion hook for tests: given a free-arrow
-    witness in the source, it reports whether the image arrow is free.
-    """
+    """Object map of a functor between theories; free arrows map to free arrows."""
 
     name: str
     source_theory: str
     target_theory: str
     map_object: Callable[[ResourceRef], ResourceRef]
-    preserves_free: Callable[[Any], bool] | None = None
 
 
 @dataclass(frozen=True)
@@ -90,56 +91,43 @@ class ExtensionResult:
         return doc
 
 
-def _admissible(prob: ExtensionProblem, y: ResourceRef, toward_image: bool):
-    """Candidates connected to y, with decision witnesses and values.
+def extension(
+    prob: ExtensionProblem, y: ResourceRef
+) -> tuple[ExtensionResult, ExtensionResult]:
+    """Minimal and maximal extension at y, in that order, from one sweep.
 
-    ``toward_image`` selects the arrow direction: y -> K(X) when true
-    (minimal extensions), K(X) -> y otherwise (maximal extensions).
+    Each candidate is mapped once and its monotone value computed at most
+    once; the sweep decides y -> K(X) for the minimal side and K(X) -> y for
+    the maximal side.  Each side's witness is the first candidate that
+    attains its bound, and its exact flag covers its own decisions only.
     """
-    found = []
-    all_exact = True
+    covariant = prob.monotone.variance == COVARIANT
+    takes_inf = (covariant, not covariant)
+    # (value, witness) per side, starting from the empty inf or sup
+    best = [(INF if inf else 0.0, None) for inf in takes_inf]
+    exact = [prob.candidates_complete] * 2
+    decide = prob.target_oracle.decide
     for x in prob.candidates:
         image = prob.functor.map_object(x)
-        if toward_image:
-            d = prob.target_oracle.decide(y, image)
-        else:
-            d = prob.target_oracle.decide(image, y)
-        if not d.exact:
-            all_exact = False
-        if d.reachable:
-            found.append((x, d.witness, prob.monotone.evaluate(x)))
-    return found, all_exact
+        value = None
+        for side, d in enumerate((decide(y, image), decide(image, y))):
+            if not d.exact:
+                exact[side] = False
+            if not d.reachable:
+                continue
+            if value is None:
+                value = prob.monotone.evaluate(x)
+            bound, witness = best[side]
+            if witness is None or (value < bound if takes_inf[side] else value > bound):
+                best[side] = (value, (x, d.witness))
+    n = len(prob.candidates)
+    lo, hi = (ExtensionResult(v, w, n, ok) for (v, w), ok in zip(best, exact))
+    return lo, hi
 
 
-def _pick(found, value):
-    for x, witness, v in found:
-        if v == value:
-            return (x, witness)
-    return None
-
-
-def minimal_extension(prob: ExtensionProblem, y: ResourceRef) -> ExtensionResult:
-    """Best value reachable from y among candidate images."""
-    found, all_exact = _admissible(prob, y, toward_image=True)
-    exact = all_exact and prob.candidates_complete
-    covariant = prob.monotone.variance == COVARIANT
-    if not found:
-        return ExtensionResult(INF if covariant else 0.0, None, len(prob.candidates), exact)
-    values = [v for _, _, v in found]
-    value = min(values) if covariant else max(values)
-    return ExtensionResult(value, _pick(found, value), len(prob.candidates), exact)
-
-
-def maximal_extension(prob: ExtensionProblem, y: ResourceRef) -> ExtensionResult:
-    """Best value among candidates whose images reach y."""
-    found, all_exact = _admissible(prob, y, toward_image=False)
-    exact = all_exact and prob.candidates_complete
-    covariant = prob.monotone.variance == COVARIANT
-    if not found:
-        return ExtensionResult(0.0 if covariant else INF, None, len(prob.candidates), exact)
-    values = [v for _, _, v in found]
-    value = max(values) if covariant else min(values)
-    return ExtensionResult(value, _pick(found, value), len(prob.candidates), exact)
+def _ordered(a: ExtValue, b: ExtValue, ascending: bool, slack: float = 0.0) -> bool:
+    """a <= b when ``ascending``, b <= a otherwise."""
+    return ext_leq(a, b, slack) if ascending else ext_leq(b, a, slack)
 
 
 @dataclass(frozen=True)
@@ -180,23 +168,22 @@ def verify_reduction(
 ) -> SandwichReport:
     """Check the sandwich min-ext <= M <= max-ext on images of samples.
 
-    Orientation flips for contravariant monotones.  Guaranteed whenever each
-    sample appears among the candidates and the oracle is exact; reported
-    honestly either way.
+    Orientation flips for contravariant monotones: a side that takes an inf
+    lies below M, a side that takes a sup above it.  Guaranteed whenever
+    each sample appears among the candidates and the oracle is exact;
+    reported honestly either way.
     """
     covariant = prob.monotone.variance == COVARIANT
     rows = []
     equalities = 0
     for x in samples:
         y = prob.functor.map_object(x)
-        lo = minimal_extension(prob, y).value
-        hi = maximal_extension(prob, y).value
+        lo, hi = (side.value for side in extension(prob, y))
         v = prob.monotone.evaluate(x)
-        if covariant:
-            ok = ext_leq(lo, v, SANDWICH_SLACK) and ext_leq(v, hi, SANDWICH_SLACK)
-        else:
-            ok = ext_leq(v, lo, SANDWICH_SLACK) and ext_leq(hi, v, SANDWICH_SLACK)
-        if ext_leq(lo, hi, SANDWICH_SLACK) and ext_leq(hi, lo, SANDWICH_SLACK):
+        ok = _ordered(lo, v, covariant, VALUE_SLACK) and _ordered(
+            hi, v, not covariant, VALUE_SLACK
+        )
+        if ext_leq(lo, hi, VALUE_SLACK) and ext_leq(hi, lo, VALUE_SLACK):
             equalities += 1
         rows.append(SandwichSample(x, lo, v, hi, ok))
     return SandwichReport(tuple(rows), all(r.ok for r in rows), equalities)
@@ -242,15 +229,14 @@ def verify_monotonicity(
             raise ValueError(
                 f"pair ({y.describe()}, {y2.describe()}) is not a free arrow"
             )
-        order = (lambda a, b: ext_leq(a, b, SANDWICH_SLACK)) if covariant else (
-            lambda a, b: ext_leq(b, a, SANDWICH_SLACK)
-        )
+        lo, hi = extension(prob, y)
+        lo2, hi2 = extension(prob, y2)
         checks.append(
             MonotonicityCheck(
                 y,
                 y2,
-                order(minimal_extension(prob, y).value, minimal_extension(prob, y2).value),
-                order(maximal_extension(prob, y).value, maximal_extension(prob, y2).value),
+                _ordered(lo.value, lo2.value, covariant, VALUE_SLACK),
+                _ordered(hi.value, hi2.value, covariant, VALUE_SLACK),
             )
         )
     return MonotonicityReport(tuple(checks), all(c.ok for c in checks))
@@ -274,28 +260,24 @@ class OptimalityReport:
         }
 
 
-def _enumerate_monotones(relation, grid, bounds, lower_bound_mode, covariant):
+def _enumerate_monotones(relation, grid, bounds, upper, covariant):
     """DFS over grid assignments respecting the free relation and per-object
-    bound constraints; prunes as soon as a partial assignment fails."""
+    bounds (from above when ``upper``, from below otherwise); prunes as soon
+    as a partial assignment fails."""
     n = relation.shape[0]
     values = [None] * n
+    # a contravariant assignment ascends along the reversed arrows
+    ascends = (relation if covariant else relation.T).tolist()
 
     def respects(t, g):
         b = bounds[t]
-        if b is not None:
-            if lower_bound_mode and not ext_leq(b, g):
-                return False
-            if not lower_bound_mode and not ext_leq(g, b):
-                return False
+        if b is not None and not (ext_leq(g, b) if upper else ext_leq(b, g)):
+            return False
         for s in range(t):
-            if relation[s, t] and values[s] is not None:
-                ordered = ext_leq(values[s], g) if covariant else ext_leq(g, values[s])
-                if not ordered:
-                    return False
-            if relation[t, s] and values[s] is not None:
-                ordered = ext_leq(g, values[s]) if covariant else ext_leq(values[s], g)
-                if not ordered:
-                    return False
+            if ascends[s][t] and not ext_leq(values[s], g):
+                return False
+            if ascends[t][s] and not ext_leq(g, values[s]):
+                return False
         return True
 
     def walk(t):
@@ -322,10 +304,11 @@ def verify_optimality_bruteforce(
 
     A competitor G assigns grid values to target objects, respects the free
     relation per the variance, and obeys the hypothesis on images of the
-    candidates: G(K X) bounded by M(X) from the side appropriate to the
-    extension being tested.  Every such G must be dominated by the minimal
-    extension and must dominate the maximal one (covariant case; both flip
-    for contravariant monotones).  Comparisons are exact.
+    candidates: G(K X) <= M(X) for a side that takes an inf, >= for a side
+    that takes a sup.  Every such G must then satisfy G <= ext on an inf
+    side and ext <= G on a sup side; for covariant monotones, the minimal
+    extension dominates every competitor and the maximal one is dominated
+    by all of them.  Comparisons are exact.
     """
     n = len(target_objects)
     if len(value_grid) ** n > budget:
@@ -353,13 +336,11 @@ def verify_optimality_bruteforce(
     images = [locate(prob.functor.map_object(x)) for x in prob.candidates]
     mvals = [prob.monotone.evaluate(x) for x in prob.candidates]
 
-    minimal_values = [minimal_extension(prob, y).value for y in target_objects]
-    maximal_values = [maximal_extension(prob, y).value for y in target_objects]
+    results = [extension(prob, y) for y in target_objects]
+    minimal_values = tuple(lo.value for lo, _ in results)
+    maximal_values = tuple(hi.value for _, hi in results)
 
-    violations: list[str] = []
-
-    # Hypothesis for the minimal extension: G(K X) <= M(X) for covariant
-    # monotones, >= for contravariant.  Collapse per-object to one bound.
+    # Collapse the hypothesis on images to one bound per target object.
     def image_bounds(upper: bool):
         bounds: list[ExtValue | None] = [None] * n
         for t, m in zip(images, mvals):
@@ -371,55 +352,30 @@ def verify_optimality_bruteforce(
                 bounds[t] = max(bounds[t], m)
         return bounds
 
-    min_hypothesis_upper = covariant  # contravariant flips the inequality
-    count_min = 0
-    for g in _enumerate_monotones(
-        relation,
-        value_grid,
-        image_bounds(upper=min_hypothesis_upper),
-        lower_bound_mode=not min_hypothesis_upper,
-        covariant=covariant,
+    violations: list[str] = []
+    counts = []
+    for side, ext_values, takes_inf in (
+        ("minimal", minimal_values, covariant),
+        ("maximal", maximal_values, not covariant),
     ):
-        count_min += 1
-        for t in range(n):
-            dominated = (
-                ext_leq(g[t], minimal_values[t])
-                if covariant
-                else ext_leq(minimal_values[t], g[t])
-            )
-            if not dominated:
-                violations.append(
-                    f"minimal extension beaten at object {t}: "
-                    f"G={g[t]} vs {minimal_values[t]}"
-                )
-
-    max_hypothesis_upper = not covariant
-    count_max = 0
-    for g in _enumerate_monotones(
-        relation,
-        value_grid,
-        image_bounds(upper=max_hypothesis_upper),
-        lower_bound_mode=not max_hypothesis_upper,
-        covariant=covariant,
-    ):
-        count_max += 1
-        for t in range(n):
-            dominates = (
-                ext_leq(maximal_values[t], g[t])
-                if covariant
-                else ext_leq(g[t], maximal_values[t])
-            )
-            if not dominates:
-                violations.append(
-                    f"maximal extension beaten at object {t}: "
-                    f"G={g[t]} vs {maximal_values[t]}"
-                )
+        count = 0
+        for g in _enumerate_monotones(
+            relation, value_grid, image_bounds(upper=takes_inf), takes_inf, covariant
+        ):
+            count += 1
+            for t in range(n):
+                if not _ordered(g[t], ext_values[t], takes_inf):
+                    violations.append(
+                        f"{side} extension beaten at object {t}: "
+                        f"G={g[t]} vs {ext_values[t]}"
+                    )
+        counts.append(count)
 
     return OptimalityReport(
         passed=not violations,
-        competitors_minimal=count_min,
-        competitors_maximal=count_max,
+        competitors_minimal=counts[0],
+        competitors_maximal=counts[1],
         violations=tuple(violations),
-        minimal_values=tuple(minimal_values),
-        maximal_values=tuple(maximal_values),
+        minimal_values=minimal_values,
+        maximal_values=maximal_values,
     )

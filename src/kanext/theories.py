@@ -33,6 +33,7 @@ from .prob import Dist, StochMatrix, kl_divergence, majorizes, shannon_entropy
 from .quantum import (
     BipartitePure,
     DensityMatrix,
+    basis_outcomes,
     eig_hermitian,
     embed_classical,
     embed_stochastic,
@@ -118,10 +119,6 @@ def _common_eigenbasis(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return basis
 
 
-def _diagonal_dist(matrix: np.ndarray, basis: np.ndarray) -> Dist:
-    return Dist(np.clip(np.einsum("ij,ik,kj->j", basis.conj(), matrix, basis).real, 0.0, None))
-
-
 def distinguish_restricted_oracle(
     source: tuple[DensityMatrix, DensityMatrix],
     target: tuple[DensityMatrix, DensityMatrix],
@@ -147,8 +144,8 @@ def distinguish_restricted_oracle(
     w = _common_eigenbasis(rho2.entries, sigma2.entries)
     if v is not None and w is not None:
         res = exists_joint_stochastic_map(
-            (_diagonal_dist(rho.entries, v), _diagonal_dist(sigma.entries, v)),
-            (_diagonal_dist(rho2.entries, w), _diagonal_dist(sigma2.entries, w)),
+            (basis_outcomes(rho, v), basis_outcomes(sigma, v)),
+            (basis_outcomes(rho2, w), basis_outcomes(sigma2, w)),
         )
         if res.feasible:
             return Decision(True, res.witness, exact=True)
@@ -174,7 +171,6 @@ def classical_to_quantum_functor() -> FunctorMap:
         RAND_UNIFORM,
         QRAND_QUNIFORM,
         lambda ref: ResourceRef(QRAND_QUNIFORM, embed_classical_payload(ref.payload)),
-        preserves_free=stochastic_image_is_free,
     )
 
 
@@ -186,7 +182,6 @@ def classical_to_quantum_pair_functor() -> FunctorMap:
         lambda ref: ResourceRef(
             DISTINGUISH_RESTRICTED, embed_classical_payload(ref.payload)
         ),
-        preserves_free=stochastic_image_is_free,
     )
 
 
@@ -198,8 +193,6 @@ def identity_functor(theory_id: str) -> FunctorMap:
 class TheoryEntry:
     kind: str
     oracle: ReachabilityOracle
-    exact: bool
-    description: str
 
 
 @dataclass(frozen=True)
@@ -230,42 +223,19 @@ def _wrap(theory_id: str, fn: Callable, exact: bool) -> ReachabilityOracle:
 
 def default_registry() -> TheoryRegistry:
     entries = {
-        RAND_DETMN: TheoryEntry(
-            "dist",
-            _wrap(RAND_DETMN, rand_detmn_oracle, True),
-            True,
-            "distributions under deterministic maps",
-        ),
-        RAND_UNIFORM: TheoryEntry(
-            "dist",
-            _wrap(RAND_UNIFORM, rand_uniform_oracle, True),
-            True,
-            "distributions under uniform stochastic maps",
-        ),
+        RAND_DETMN: TheoryEntry("dist", _wrap(RAND_DETMN, rand_detmn_oracle, True)),
+        RAND_UNIFORM: TheoryEntry("dist", _wrap(RAND_UNIFORM, rand_uniform_oracle, True)),
         QRAND_QUNIFORM: TheoryEntry(
-            "density",
-            _wrap(QRAND_QUNIFORM, qrand_quniform_oracle, True),
-            True,
-            "density matrices under unital channels (exact at equal dims)",
+            "density", _wrap(QRAND_QUNIFORM, qrand_quniform_oracle, True)
         ),
         CDISTINGUISH: TheoryEntry(
-            "dist_pair",
-            _wrap(CDISTINGUISH, cdistinguish_oracle, True),
-            True,
-            "distribution pairs under joint stochastic processing",
+            "dist_pair", _wrap(CDISTINGUISH, cdistinguish_oracle, True)
         ),
         DISTINGUISH_RESTRICTED: TheoryEntry(
             "density_pair",
             _wrap(DISTINGUISH_RESTRICTED, distinguish_restricted_oracle, False),
-            False,
-            "state pairs, restricted channel family (certifies reachability only)",
         ),
-        PUREBIP_LOCC: TheoryEntry(
-            "pure",
-            _wrap(PUREBIP_LOCC, purebip_locc_oracle, True),
-            True,
-            "bipartite pure states under LOCC",
-        ),
+        PUREBIP_LOCC: TheoryEntry("pure", _wrap(PUREBIP_LOCC, purebip_locc_oracle, True)),
     }
     return TheoryRegistry(entries)
 

@@ -16,8 +16,7 @@ from kanext.bf_oracle import (
 )
 from kanext.kan import (
     ExtensionProblem,
-    maximal_extension,
-    minimal_extension,
+    extension,
     verify_optimality_bruteforce,
     verify_reduction,
 )
@@ -109,8 +108,7 @@ def test_criterion_2_shannon_extension_coincidence():
         reference = spectral_entropy(rho)
         problem = spectral_problem(eig_hermitian(rho).eigenvalues)
         y = ResourceRef(QRAND_QUNIFORM, rho)
-        lo = minimal_extension(problem, y)
-        hi = maximal_extension(problem, y)
+        lo, hi = extension(problem, y)
         assert lo.exact and hi.exact
         worst_gap = max(worst_gap, abs(lo.value - reference), abs(hi.value - reference))
         sampled = measurement_entropy_search(rho, samples=200, seed=1000 + i)
@@ -134,11 +132,8 @@ def test_criterion_3_ff_reduction():
         problem = spectral_problem(p)
         y = ResourceRef(QRAND_QUNIFORM, embed_classical(p))
         h = shannon_entropy(p)
-        worst = max(
-            worst,
-            abs(minimal_extension(problem, y).value - h),
-            abs(maximal_extension(problem, y).value - h),
-        )
+        lo, hi = extension(problem, y)
+        worst = max(worst, abs(lo.value - h), abs(hi.value - h))
     ok = worst <= 1e-9
     report(3, ok, f"50 embeddings, worst deviation {worst:.2e}")
     assert worst <= 1e-9
@@ -156,9 +151,10 @@ def test_criterion_4_reduction_monotonicity_optimality():
         rng = np.random.default_rng(31000 + i)
         problem, objects, grid = random_toy_problem(rng, max_objects=8)
         for y in objects:
-            if minimal_extension(problem, y).value != bf_minimal_extension(problem, y):
+            lo, hi = extension(problem, y)
+            if lo.value != bf_minimal_extension(problem, y):
                 mismatches += 1
-            if maximal_extension(problem, y).value != bf_maximal_extension(problem, y):
+            if hi.value != bf_maximal_extension(problem, y):
                 mismatches += 1
         if not verify_reduction(problem, list(problem.candidates)).passed:
             sandwich_failures += 1
@@ -196,10 +192,7 @@ def test_criterion_5_empty_diagram_constants():
             REGISTRY.oracle(RAND_UNIFORM),
             (),
         )
-        results[variance] = (
-            minimal_extension(problem, y).value,
-            maximal_extension(problem, y).value,
-        )
+        results[variance] = tuple(side.value for side in extension(problem, y))
     ok = results[CONTRAVARIANT] == (0.0, INF) and results[COVARIANT] == (INF, 0.0)
     report(5, ok, f"contravariant {results[CONTRAVARIANT]}, covariant {results[COVARIANT]}")
     assert results[CONTRAVARIANT] == (0.0, INF)
@@ -251,7 +244,7 @@ def test_criterion_7_pure_state_entanglement():
             ResourceRef(PUREBIP_LOCC, bell),
         ),
     )
-    ext = maximal_extension(problem, ResourceRef(PUREBIP_LOCC, bell))
+    ext = extension(problem, ResourceRef(PUREBIP_LOCC, bell))[1]
     ok = ranks_ok and locc_ok and ext.value == 2.0
     report(7, ok, f"ranks {ranks_ok}, locc {locc_ok}, max extension {ext.value}")
     assert ranks_ok

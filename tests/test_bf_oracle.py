@@ -13,7 +13,7 @@ from kanext.bf_oracle import (
     random_toy_problem,
     schmidt_number_upper_bound,
 )
-from kanext.kan import maximal_extension, minimal_extension
+from kanext.kan import extension
 from kanext.prob import (
     Dist,
     InvariantViolation,
@@ -43,12 +43,9 @@ class TestBfExtensions:
         for i in range(100):
             problem, objects, _ = random_toy_problem(np.random.default_rng(500 + i))
             for y in objects:
-                assert minimal_extension(problem, y).value == bf_minimal_extension(
-                    problem, y
-                )
-                assert maximal_extension(problem, y).value == bf_maximal_extension(
-                    problem, y
-                )
+                lo, hi = extension(problem, y)
+                assert lo.value == bf_minimal_extension(problem, y)
+                assert hi.value == bf_maximal_extension(problem, y)
 
     def test_empty_set_constants(self):
         theory = ToyTheory(np.eye(2, dtype=bool))

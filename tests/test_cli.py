@@ -333,6 +333,36 @@ class TestUsageErrors:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"command": "reach", "theory": "cdistinguish",
+             "source": [[0.2, 0.3, 0.5], [0.4, 0.6]],
+             "target": [[0.2, 0.3, 0.5], [0.4, 0.6]]},
+            # seed 0 draws a first toy problem of at least 10 objects, past
+            # the enumeration budget
+            {"command": "verify", "property": "optimality", "samples": 1,
+             "max_objects": 12, "seed": 0},
+            {"command": "extend", "theory": "rand_uniform", "functor": "identity",
+             "monotone": "shannon", "variance": "covariant",
+             "target": [0.2, 0.3, 0.5],
+             "candidates": {"kind": "grid", "length": 0, "step": 0.25}},
+            {"command": "reach", "theory": "rand_detmn",
+             "source": [1 / 13] * 13, "target": [0.5, 0.5]},
+        ],
+        ids=["dimension_mismatch", "enumeration_budget", "grid_length_0", "size_limit"],
+    )
+    def test_library_errors_exit_2_with_one_line(self, tmp_path, capsys, cfg):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+
+
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = {

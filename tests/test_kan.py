@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,7 @@ from kanext.kan import (
     EnumerationBudgetError,
     ExtensionProblem,
     FunctorMap,
-    maximal_extension,
-    minimal_extension,
+    extension,
     verify_monotonicity,
     verify_optimality_bruteforce,
     verify_reduction,
@@ -73,8 +74,9 @@ class TestEmptyDiagramConstants:
             (CONTRAVARIANT, 0.0, INF),
         ):
             prob = shannon_problem(variance, ())
-            assert minimal_extension(prob, y).value == lo
-            assert maximal_extension(prob, y).value == hi
+            minimal, maximal = extension(prob, y)
+            assert minimal.value == lo
+            assert maximal.value == hi
 
     def test_all_candidates_unreachable(self):
         never = ReachabilityOracle("null", lambda a, b: Decision(False), exact=True)
@@ -85,9 +87,10 @@ class TestEmptyDiagramConstants:
             (ResourceRef("null", Dist([1.0, 0.0])),),
         )
         y = ResourceRef("null", Dist([0.5, 0.5]))
-        assert minimal_extension(prob, y).value == 0.0
-        assert maximal_extension(prob, y).value == INF
-        assert minimal_extension(prob, y).witness is None
+        lo, hi = extension(prob, y)
+        assert lo.value == 0.0
+        assert hi.value == INF
+        assert lo.witness is None
 
 
 class TestClassicalExtensions:
@@ -96,7 +99,7 @@ class TestClassicalExtensions:
         # empty set collapses to the initial object 0
         prob = shannon_problem(CONTRAVARIANT, [Dist([1.0, 0.0]), Dist([0.75, 0.25])])
         y = ResourceRef(RAND_UNIFORM, Dist([0.5, 0.5]))
-        res = minimal_extension(prob, y)
+        res = extension(prob, y)[0]
         assert res.value == 0.0
         assert res.examined == 2
 
@@ -105,7 +108,7 @@ class TestClassicalExtensions:
             COVARIANT, [Dist([1.0, 0.0]), Dist([0.75, 0.25]), Dist([0.5, 0.5])]
         )
         y = ResourceRef(RAND_UNIFORM, Dist([0.75, 0.25]))
-        res = minimal_extension(prob, y)
+        res = extension(prob, y)[0]
         # reachable from y: (0.75, 0.25) itself and uniform; inf of entropies
         assert res.value == pytest.approx(shannon_entropy(Dist([0.75, 0.25])))
         assert res.witness[0].payload.weights.tolist() == [0.75, 0.25]
@@ -115,7 +118,7 @@ class TestClassicalExtensions:
         twin_b = Dist([0.3, 0.7], label="b")
         prob = shannon_problem(COVARIANT, [twin_a, twin_b])
         y = ResourceRef(RAND_UNIFORM, Dist([0.7, 0.3]))
-        res = minimal_extension(prob, y)
+        res = extension(prob, y)[0]
         assert res.witness[0].payload.label == "a"
 
 
@@ -123,8 +126,7 @@ class TestQuantumExtensions:
     def test_shannon_extension_on_grid_candidates(self):
         prob = embedding_problem(simplex_grid(2, 0.05))
         y = ResourceRef(QRAND_QUNIFORM, embed_classical(Dist([0.5, 0.5])))
-        lo = minimal_extension(prob, y)
-        hi = maximal_extension(prob, y)
+        lo, hi = extension(prob, y)
         assert lo.value == pytest.approx(1.0, abs=1e-12)
         assert hi.value == pytest.approx(1.0, abs=1e-12)
         assert not lo.exact  # grid candidates claim no completeness
@@ -134,8 +136,7 @@ class TestQuantumExtensions:
         spectrum = eig_hermitian(rho).eigenvalues
         prob = embedding_problem([spectrum], complete=True)
         y = ResourceRef(QRAND_QUNIFORM, rho)
-        lo = minimal_extension(prob, y)
-        hi = maximal_extension(prob, y)
+        lo, hi = extension(prob, y)
         assert lo.exact and hi.exact
         assert lo.value == pytest.approx(spectral_entropy(rho), abs=1e-9)
         assert hi.value == pytest.approx(spectral_entropy(rho), abs=1e-9)
@@ -143,7 +144,7 @@ class TestQuantumExtensions:
     def test_nonuniform_target_on_fine_grid(self):
         prob = embedding_problem(simplex_grid(2, 0.01))
         y = ResourceRef(QRAND_QUNIFORM, embed_classical(Dist([0.9, 0.1])))
-        hi = maximal_extension(prob, y)
+        hi = extension(prob, y)[1]
         assert hi.value == pytest.approx(shannon_entropy(Dist([0.9, 0.1])), abs=1e-9)
 
     def test_schmidt_extension_at_bell_target(self):
@@ -160,8 +161,9 @@ class TestQuantumExtensions:
         y = ResourceRef(PUREBIP_LOCC, bell_state())
         # only the Bell candidate reaches a Bell target, so both directions
         # see the singleton {2}
-        assert maximal_extension(prob, y).value == 2.0
-        assert minimal_extension(prob, y).value == 2.0
+        lo, hi = extension(prob, y)
+        assert hi.value == 2.0
+        assert lo.value == 2.0
 
 
 class TestExactnessFlag:
@@ -176,13 +178,40 @@ class TestExactnessFlag:
             (ResourceRef("shaky", Dist([0.5, 0.5])),),
             candidates_complete=True,
         )
-        res = minimal_extension(prob, ResourceRef("shaky", Dist([0.5, 0.5])))
+        res = extension(prob, ResourceRef("shaky", Dist([0.5, 0.5])))[0]
         assert not res.exact
 
     def test_incomplete_candidates_poison_the_result(self):
         prob = shannon_problem(COVARIANT, [Dist([0.5, 0.5])], complete=False)
-        res = minimal_extension(prob, ResourceRef(RAND_UNIFORM, Dist([0.5, 0.5])))
+        res = extension(prob, ResourceRef(RAND_UNIFORM, Dist([0.5, 0.5])))[0]
         assert not res.exact
+
+
+class TestSinglePass:
+    def test_maps_each_candidate_once_and_values_it_at_most_once(self):
+        mapped, valued = Counter(), Counter()
+
+        def map_object(ref):
+            mapped[ref.payload] += 1
+            return ResourceRef("chain", ref.payload)
+
+        def evaluate(ref):
+            valued[ref.payload] += 1
+            return float(ref.payload)
+
+        # total order 0 -> 1 -> 2 -> 3: target 2 reaches the candidates above
+        # it and is reached from those below, and candidate 2 both ways
+        chain = ReachabilityOracle("chain", lambda a, b: Decision(a.payload <= b.payload))
+        prob = ExtensionProblem(
+            MonotoneSpec("index", evaluate, COVARIANT),
+            FunctorMap("into_chain", "src", "chain", map_object),
+            chain,
+            tuple(ResourceRef("src", k) for k in range(4)),
+        )
+        lo, hi = extension(prob, ResourceRef("chain", 2))
+        assert (lo.value, hi.value) == (2.0, 2.0)
+        assert mapped == Counter(range(4))
+        assert valued == Counter(range(4))
 
 
 class TestGridRefinement:
@@ -190,19 +219,19 @@ class TestGridRefinement:
         y = ResourceRef(QRAND_QUNIFORM, embed_classical(Dist([0.8, 0.2])))
         coarse = embedding_problem(simplex_grid(2, 0.25))
         fine = embedding_problem(simplex_grid(2, 0.05))
-        assert (
-            minimal_extension(fine, y).value <= minimal_extension(coarse, y).value
-        )
-        assert (
-            maximal_extension(fine, y).value >= maximal_extension(coarse, y).value
-        )
+        fine_lo, fine_hi = extension(fine, y)
+        coarse_lo, coarse_hi = extension(coarse, y)
+        assert fine_lo.value <= coarse_lo.value
+        assert fine_hi.value >= coarse_hi.value
 
     def test_contravariant_duals(self):
         y = ResourceRef(RAND_UNIFORM, Dist([0.8, 0.2]))
         coarse = shannon_problem(CONTRAVARIANT, simplex_grid(2, 0.25))
         fine = shannon_problem(CONTRAVARIANT, simplex_grid(2, 0.05))
-        assert minimal_extension(fine, y).value >= minimal_extension(coarse, y).value
-        assert maximal_extension(fine, y).value <= maximal_extension(coarse, y).value
+        fine_lo, fine_hi = extension(fine, y)
+        coarse_lo, coarse_hi = extension(coarse, y)
+        assert fine_lo.value >= coarse_lo.value
+        assert fine_hi.value <= coarse_hi.value
 
 
 class TestVerifyReduction:

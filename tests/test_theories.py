@@ -69,8 +69,8 @@ class TestRegistry:
             oracle.decide(good, bad)
 
     def test_exactness_flags(self):
-        assert REGISTRY.entry(RAND_UNIFORM).exact
-        assert not REGISTRY.entry(DISTINGUISH_RESTRICTED).exact
+        assert REGISTRY.entry(RAND_UNIFORM).oracle.exact
+        assert not REGISTRY.entry(DISTINGUISH_RESTRICTED).oracle.exact
 
 
 class TestRandDetmnOracle:
