@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -46,7 +47,6 @@ from .quantum import (
     BipartitePure,
     DensityMatrix,
     complex_matrix_from_json,
-    eig_hermitian,
     measurement_entropy_search,
     random_density,
     random_unitary,
@@ -80,6 +80,26 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _text(cfg: dict, key: str) -> str:
+    value = _require(cfg, key)
+    if not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
+    return value
+
+
+def _number(value, key: str, kind: type = int, at_least=None):
+    """``kind(value)`` for the config value under ``key``; a value that is
+    no number (null, a list, an object, text) or is below ``at_least`` is a
+    ConfigError naming the key."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from exc
+    if at_least is not None and number < at_least:
+        raise ConfigError(f"config key {key!r} must be at least {at_least}, got {number}")
+    return number
+
+
 def parse_payload(kind: str, data):
     """Decode one object payload according to its theory's object kind."""
     try:
@@ -111,11 +131,12 @@ def payload_to_json(payload):
     return payload
 
 
-def _validate_step(step: float) -> float:
+def _grid_step(value) -> float:
+    step = _number(value, "step", float)
     lo, hi = GRID_STEP_RANGE
     if not lo <= step <= hi:
         raise ConfigError(f"grid step {step} outside [{lo}, {hi}]")
-    return float(step)
+    return step
 
 
 def build_candidates(cfg: dict, source_kind: str, target_payload) -> tuple[tuple, bool]:
@@ -125,19 +146,19 @@ def build_candidates(cfg: dict, source_kind: str, target_payload) -> tuple[tuple
     family, which provably captures the unital classical boundary.
     """
     spec = _require(cfg, "candidates")
+    if not isinstance(spec, dict):
+        raise ConfigError("config key 'candidates' must be an object")
     kind = _require(spec, "kind")
     if kind == "explicit":
-        payloads = tuple(
-            parse_payload(source_kind, obj) for obj in _require(spec, "objects")
-        )
-        return payloads, False
+        objects = _require(spec, "objects")
+        if not isinstance(objects, list):
+            raise ConfigError("config key 'objects' must be a list")
+        return tuple(parse_payload(source_kind, obj) for obj in objects), False
     if kind == "grid":
         if source_kind != "dist":
             raise ConfigError("grid candidates need a distribution-valued source")
-        step = _validate_step(float(_require(spec, "step")))
-        length = int(_require(spec, "length"))
-        if length < 1:
-            raise ConfigError(f"grid length {length} must be at least 1")
+        step = _grid_step(_require(spec, "step"))
+        length = _number(_require(spec, "length"), "length")
         return tuple(simplex_grid(length, step)), False
     if kind == "spectral":
         if not isinstance(target_payload, DensityMatrix):
@@ -147,13 +168,13 @@ def build_candidates(cfg: dict, source_kind: str, target_payload) -> tuple[tuple
                 "spectral candidates are distributions; the functor's source "
                 "theory must be distribution-valued"
             )
-        return (eig_hermitian(target_payload).eigenvalues,), True
+        return (target_payload.spectrum.eigenvalues,), True
     raise ConfigError(f"unknown candidate kind {kind!r}")
 
 
 def cmd_reach(cfg: dict) -> tuple[int, dict]:
     registry = default_registry()
-    theory_id = _require(cfg, "theory")
+    theory_id = _text(cfg, "theory")
     entry = registry.entry(theory_id)
     source = ResourceRef(theory_id, parse_payload(entry.kind, _require(cfg, "source")))
     target = ResourceRef(theory_id, parse_payload(entry.kind, _require(cfg, "target")))
@@ -180,7 +201,7 @@ _MONOTONE_KINDS = {
 
 def cmd_extend(cfg: dict) -> tuple[int, dict]:
     registry = default_registry()
-    theory_id = _require(cfg, "theory")
+    theory_id = _text(cfg, "theory")
     entry = registry.entry(theory_id)
     functor = make_functor(_require(cfg, "functor"), theory_id)
     if functor.target_theory != theory_id:
@@ -192,7 +213,7 @@ def cmd_extend(cfg: dict) -> tuple[int, dict]:
     variance = _require(cfg, "variance")
     if variance not in (COVARIANT, CONTRAVARIANT):
         raise ConfigError(f"unknown variance {variance!r}")
-    monotone_id = _require(cfg, "monotone")
+    monotone_id = _text(cfg, "monotone")
     if _MONOTONE_KINDS.get(monotone_id) not in (None, source_kind):
         raise ConfigError(
             f"monotone {monotone_id!r} evaluates {_MONOTONE_KINDS[monotone_id]} "
@@ -234,8 +255,8 @@ def _shannon_embedding_problem(candidates: tuple[Dist, ...]) -> ExtensionProblem
 
 
 def _verify_reduction(cfg: dict, rng: np.random.Generator) -> dict:
-    samples = int(cfg.get("samples", 50))
-    length = int(cfg.get("length", 3))
+    samples = _number(cfg.get("samples", 50), "samples", at_least=0)
+    length = _number(cfg.get("length", 3), "length")
     dists = tuple(Dist(rng.dirichlet(np.ones(length))) for _ in range(samples))
     problem = _shannon_embedding_problem(dists)
     report = verify_reduction(problem, list(problem.candidates))
@@ -243,12 +264,12 @@ def _verify_reduction(cfg: dict, rng: np.random.Generator) -> dict:
 
 
 def _verify_monotonicity(cfg: dict, rng: np.random.Generator) -> dict:
-    samples = int(cfg.get("samples", 50))
+    samples = _number(cfg.get("samples", 50), "samples", at_least=0)
     theory_id = cfg.get("theory", RAND_UNIFORM)
     registry = default_registry()
     if theory_id == RAND_UNIFORM:
-        length = int(cfg.get("length", 3))
-        step = _validate_step(float(cfg.get("step", 0.05)))
+        length = _number(cfg.get("length", 3), "length")
+        step = _grid_step(cfg.get("step", 0.05))
         problem = ExtensionProblem(
             make_monotone("shannon", COVARIANT),
             make_functor("identity", RAND_UNIFORM),
@@ -263,8 +284,8 @@ def _verify_monotonicity(cfg: dict, rng: np.random.Generator) -> dict:
                 (ResourceRef(RAND_UNIFORM, p), ResourceRef(RAND_UNIFORM, q))
             )
     elif theory_id == "qrand_quniform":
-        dim = int(cfg.get("length", 2))
-        grid = simplex_grid(dim, _validate_step(float(cfg.get("step", 0.05))))
+        dim = _number(cfg.get("length", 2), "length")
+        grid = simplex_grid(dim, _grid_step(cfg.get("step", 0.05)))
         problem = _shannon_embedding_problem(tuple(grid))
         pairs = []
         for _ in range(samples):
@@ -284,8 +305,8 @@ def _verify_monotonicity(cfg: dict, rng: np.random.Generator) -> dict:
 
 
 def _verify_optimality(cfg: dict, rng: np.random.Generator) -> dict:
-    samples = int(cfg.get("samples", 50))
-    max_objects = int(cfg.get("max_objects", 6))
+    samples = _number(cfg.get("samples", 50), "samples", at_least=0)
+    max_objects = _number(cfg.get("max_objects", 6), "max_objects")
     violations = []
     for i in range(samples):
         problem, objects, grid = random_toy_problem(rng, max_objects=max_objects)
@@ -296,9 +317,8 @@ def _verify_optimality(cfg: dict, rng: np.random.Generator) -> dict:
 
 
 def _verify_hlp(cfg: dict, rng: np.random.Generator) -> dict:
-    length = int(cfg.get("length", 3))
-    step = _validate_step(float(cfg.get("step", 0.05)))
-    grid = simplex_grid(length, step)
+    length = _number(cfg.get("length", 3), "length")
+    grid = simplex_grid(length, _grid_step(cfg.get("step", 0.05)))
     disagreements = []
     for p in grid:
         for q in grid:
@@ -316,9 +336,9 @@ def _verify_hlp(cfg: dict, rng: np.random.Generator) -> dict:
 
 
 def _verify_data_processing(cfg: dict, rng: np.random.Generator) -> dict:
-    samples = int(cfg.get("samples", 200))
-    length = int(cfg.get("length", 4))
-    out_length = int(cfg.get("out_length", 3))
+    samples = _number(cfg.get("samples", 200), "samples", at_least=0)
+    length = _number(cfg.get("length", 4), "length")
+    out_length = _number(cfg.get("out_length", 3), "out_length")
     violations = []
     for i in range(samples):
         p = Dist(rng.dirichlet(np.ones(length)))
@@ -340,16 +360,19 @@ def _verify_data_processing(cfg: dict, rng: np.random.Generator) -> dict:
 
 
 def _verify_coincidence(cfg: dict, rng: np.random.Generator) -> dict:
-    samples = int(cfg.get("samples", 20))
+    samples = _number(cfg.get("samples", 20), "samples", at_least=0)
     dims = cfg.get("dims", [2, 3, 4])
-    bases = int(cfg.get("bases", 50))
+    if not isinstance(dims, list) or not dims:
+        raise ConfigError("config key 'dims' must be a non-empty list")
+    bases = _number(cfg.get("bases", 50), "bases")
+    seed = _number(cfg.get("seed", 0), "seed")
     tol = 1e-6
     violations = []
     registry = default_registry()
     for i in range(samples):
-        dim = int(dims[i % len(dims)])
+        dim = _number(dims[i % len(dims)], "dims")
         rho = random_density(rng, dim)
-        spectrum = eig_hermitian(rho).eigenvalues
+        spectrum = rho.spectrum.eigenvalues
         problem = ExtensionProblem(
             make_monotone("shannon", COVARIANT),
             make_functor("classical_to_quantum"),
@@ -360,7 +383,7 @@ def _verify_coincidence(cfg: dict, rng: np.random.Generator) -> dict:
         y = ResourceRef("qrand_quniform", rho)
         reference = spectral_entropy(rho)
         lo, hi = (side.value for side in extension(problem, y))
-        sampled = measurement_entropy_search(rho, bases, int(cfg.get("seed", 0)) + i)
+        sampled = measurement_entropy_search(rho, bases, seed + i)
         if abs(lo - reference) > tol or abs(hi - reference) > tol:
             violations.append({"instance": i, "minimal": lo, "maximal": hi,
                                "reference": reference})
@@ -384,7 +407,7 @@ def cmd_verify(cfg: dict) -> tuple[int, dict]:
     prop = _require(cfg, "property")
     if prop not in PROPERTIES:
         raise ConfigError(f"unknown property {prop!r}; known: {', '.join(PROPERTIES)}")
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(_number(cfg.get("seed", 0), "seed"))
     result = _VERIFIERS[prop](cfg, rng)
     doc = {
         "command": "verify",
@@ -403,12 +426,12 @@ def cmd_verify(cfg: dict) -> tuple[int, dict]:
 
 def cmd_lorenz(cfg: dict) -> tuple[int, dict]:
     raw = _require(cfg, "distributions")
-    if not 1 <= len(raw) <= 2:
+    if not isinstance(raw, list) or not 1 <= len(raw) <= 2:
         raise ConfigError("lorenz takes one or two distributions")
     out = cfg.get("out")
-    if not out:
+    if not out or not isinstance(out, str):
         raise ConfigError("lorenz needs an output path")
-    dists = [Dist(np.asarray(d, dtype=float)) for d in raw]
+    dists = [parse_payload("dist", d) for d in raw]
     curves = [lorenz_curve(d) for d in dists]
     if len(curves) == 1:
         content = curves[0].to_csv()
@@ -437,7 +460,7 @@ _COMMANDS = {
 
 
 def run(cfg: dict) -> tuple[int, dict]:
-    command = _require(cfg, "command")
+    command = _text(cfg, "command")
     if command not in _COMMANDS:
         raise ConfigError(
             f"unknown command {command!r}; known: {', '.join(sorted(_COMMANDS))}"
@@ -471,14 +494,31 @@ def main(argv: list[str] | None = None) -> int:
             cfg["seed"] = args.seed
         if args.out is not None:
             cfg["out"] = args.out
-        if int(cfg.get("seed", 0)) < 0:
-            raise ConfigError("seed must be nonnegative")
+        _number(cfg.get("seed", 0), "seed", at_least=0)
         code, doc = run(cfg)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(json.dumps(doc, indent=2, sort_keys=True, default=_json_default))
+    text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_USAGE
     return code
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout's descriptor at the null device, so that the flush at
+    interpreter exit cannot raise BrokenPipeError again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _json_default(obj):

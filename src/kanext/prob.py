@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, pairwise
 
 import numpy as np
 
@@ -23,6 +24,9 @@ NORMALIZATION_TOL = 1e-9
 STOCHASTIC_TOL = 1e-12
 # Slack for ordinate comparisons in majorization (covers cumsum error, n <= 64).
 ORDER_SLACK = 1e-10
+# Most points simplex_grid will build; the largest grid the tests sweep is
+# length 5 at step 0.05 (10,626 points).
+GRID_POINTS_CAP = 20_000
 
 
 class DimensionMismatch(ValueError):
@@ -31,6 +35,10 @@ class DimensionMismatch(ValueError):
 
 class InvariantViolation(ValueError):
     """Input fails a type invariant (negativity, normalization, shape)."""
+
+
+class GridSizeError(ValueError):
+    """A simplex grid is empty or larger than GRID_POINTS_CAP."""
 
 
 def ext_to_json(value: ExtValue):
@@ -226,22 +234,28 @@ def is_uniform_matrix(m: StochMatrix) -> bool:
 
 
 def simplex_grid(length: int, step: float) -> list[Dist]:
-    """All distributions of the given length with weights on a step grid."""
+    """All distributions of the given length with weights on a step grid.
+
+    Points come in lexicographic order of their weights.  The point count,
+    C(1/step + length - 1, length - 1), is checked against GRID_POINTS_CAP
+    before any point is built.
+    """
     units = round(1.0 / step)
     if abs(units * step - 1.0) > 1e-12:
         raise InvariantViolation(f"step {step} does not divide 1")
-
-    out: list[Dist] = []
-
-    def compose(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            out.append(Dist(np.array(prefix + [remaining]) * step))
-            return
-        for k in range(remaining + 1):
-            compose(prefix + [k], remaining - k, slots - 1)
-
-    compose([], units, length)
-    return out
+    if length < 1:
+        raise GridSizeError(f"grid length {length} must be at least 1")
+    points = math.comb(units + length - 1, length - 1)
+    if points > GRID_POINTS_CAP:
+        raise GridSizeError(
+            f"grid of length {length} at step {step} has {points} points, "
+            f"over the cap of {GRID_POINTS_CAP}"
+        )
+    # cumulative unit counts run non-decreasing from 0 to units
+    return [
+        Dist(np.array([b - a for a, b in pairwise((0, *cuts, units))]) * step)
+        for cuts in combinations_with_replacement(range(units + 1), length - 1)
+    ]
 
 
 def random_stochastic(rng: np.random.Generator, n: int, k: int) -> StochMatrix:

@@ -9,6 +9,7 @@ structure, and pure-state LOCC convertibility.  Dimensions stay at or below
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,15 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def spectrum(self) -> "Spectrum":
+        """``eig_hermitian(self)``, decomposed on first use and then kept.
+
+        Sound to share: the entries are frozen and read-only, and so are
+        the arrays of the returned ``Spectrum``.
+        """
+        return eig_hermitian(self)
 
     @staticmethod
     def maximally_mixed(d: int) -> "DensityMatrix":
@@ -204,7 +214,7 @@ def is_unital(chan: KrausChannel) -> bool:
 
 def spectral_entropy(rho: DensityMatrix) -> ExtValue:
     """Shannon entropy of the spectrum (the von Neumann entropy, in bits)."""
-    return shannon_entropy(eig_hermitian(rho).eigenvalues)
+    return shannon_entropy(rho.spectrum.eigenvalues)
 
 
 def preparation_entropy(rho: DensityMatrix) -> ExtValue:
@@ -243,8 +253,7 @@ def measurement_entropy_search(rho: DensityMatrix, samples: int, seed: int) -> E
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    spec = eig_hermitian(rho)
-    best = shannon_entropy(basis_outcomes(rho, spec.eigenvectors))
+    best = shannon_entropy(basis_outcomes(rho, rho.spectrum.eigenvectors))
     for k in range(samples):
         h = shannon_entropy(basis_outcomes(rho, haar_basis(rho.dim, seed, k)))
         if h < best:

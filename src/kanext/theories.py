@@ -34,7 +34,6 @@ from .quantum import (
     BipartitePure,
     DensityMatrix,
     basis_outcomes,
-    eig_hermitian,
     embed_classical,
     embed_stochastic,
     is_unital,
@@ -79,8 +78,8 @@ def qrand_quniform_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> Decision:
     map, prepare); positives are genuine but the decision is flagged
     inexact.
     """
-    spec_rho = eig_hermitian(rho).eigenvalues
-    spec_sigma = eig_hermitian(sigma).eigenvalues
+    spec_rho = rho.spectrum.eigenvalues
+    spec_sigma = sigma.spectrum.eigenvalues
     if rho.dim == sigma.dim:
         return Decision(majorizes(spec_rho, spec_sigma), None, exact=True)
     res = exists_uniform_map(spec_rho, spec_sigma)

@@ -1,13 +1,18 @@
+import io
 import json
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from kanext import cli
+from kanext import cli, prob
 from kanext.prob import Dist, shannon_entropy
 from kanext.quantum import complex_matrix_to_json
 
@@ -356,11 +361,174 @@ class TestUsageErrors:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error:")
+        assert_one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "prop,length,step",
+        [("hlp_agreement", 0, 0.25), ("monotonicity", 0, 0.25),
+         ("hlp_agreement", 9, 0.01)],
+        ids=["hlp_length_0", "monotonicity_length_0", "hlp_over_grid_cap"],
+    )
+    def test_grid_guard_exits_2_before_building(
+        self, tmp_path, capsys, monkeypatch, prop, length, step
+    ):
+        def no_points(*args, **kwargs):
+            raise AssertionError("grid points were built before the size check")
+
+        monkeypatch.setattr(prob, "Dist", no_points)
+        code, out = run_main(tmp_path, {
+            "command": "verify", "property": prop, "length": length, "step": step,
+        })
+        assert (code, out) == (2, "")
+        assert_one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"command": "extend", "theory": "rand_uniform", "functor": "identity",
+             "monotone": "shannon", "variance": "covariant", "target": [0.5, 0.5],
+             "candidates": {"kind": "grid", "length": None, "step": 0.25}},
+            {"command": "extend", "theory": "rand_uniform", "functor": "identity",
+             "monotone": "shannon", "variance": "covariant", "target": [0.5, 0.5],
+             "candidates": {"kind": "grid", "length": 2, "step": [0.25]}},
+            {"command": "verify", "property": "reduction", "samples": {}},
+            {"command": "verify", "property": "coincidence", "samples": 1, "dims": None},
+            {"command": "verify", "property": "coincidence", "samples": 1, "dims": [[2]]},
+            {"command": "verify", "property": "data_processing", "seed": None},
+            {"command": "reach", "theory": [], "source": [1.0], "target": [1.0]},
+            {"command": "lorenz", "distributions": None, "out": "curve.csv"},
+            {"command": "lorenz", "distributions": [[0.5, 0.5]], "out": ["curve.csv"]},
+        ],
+        ids=["grid_length_null", "grid_step_list", "samples_object", "dims_null",
+             "dims_entry_list", "seed_null", "theory_list", "distributions_null",
+             "out_list"],
+    )
+    def test_wrongly_typed_values_exit_2(self, tmp_path, capsys, monkeypatch, cfg):
+        monkeypatch.chdir(tmp_path)
+        code, out = run_main(tmp_path, cfg)
+        assert (code, out) == (2, "")
+        assert_one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("closed", ["write_raises", "pipe_without_reader"])
+    def test_closed_stdout_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, closed):
+        class WriteRaises:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        if closed == "write_raises":
+            stream = WriteRaises()
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            stream = open(write_end, "w")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"command": "verify", "property": "coincidence",
+                                    "samples": 1}))
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert cli.main(["--config", str(path)]) == 2
+        assert_one_error_line(capsys.readouterr().err)
+        if closed == "pipe_without_reader":
+            # the descriptor now leads to the null device, so the flush at
+            # interpreter exit cannot raise
+            stream.flush()
+            stream.close()
+
+
+def assert_one_error_line(err: str):
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+
+
+# Small valid configs for every command; the fuzz test breaks one value.
+FUZZ_BASES = [
+    {"command": "reach", "theory": "rand_uniform", "source": [0.7, 0.3],
+     "target": [0.5, 0.5]},
+    {"command": "reach", "theory": "rand_detmn", "source": [0.5, 0.25, 0.25],
+     "target": [0.75, 0.25]},
+    {"command": "reach", "theory": "cdistinguish", "source": [[0.7, 0.3], [0.2, 0.8]],
+     "target": [[0.5, 0.5], [0.5, 0.5]]},
+    {"command": "reach", "theory": "qrand_quniform",
+     "source": density_json([0.7, 0.3]), "target": density_json([0.5, 0.5])},
+    {"command": "reach", "theory": "purebip_locc", "source": bell_json(),
+     "target": product_json()},
+    {"command": "extend", "theory": "rand_uniform", "functor": "identity",
+     "monotone": "shannon", "variance": "covariant", "target": [0.5, 0.3, 0.2],
+     "candidates": {"kind": "grid", "length": 3, "step": 0.25}},
+    {"command": "extend", "theory": "rand_uniform", "functor": "identity",
+     "monotone": "shannon", "variance": "contravariant", "target": [0.6, 0.4],
+     "candidates": {"kind": "explicit", "objects": [[0.5, 0.5], [1.0, 0.0]]}},
+    {"command": "extend", "theory": "qrand_quniform", "functor": "classical_to_quantum",
+     "monotone": "shannon", "variance": "covariant", "target": density_json([0.6, 0.4]),
+     "candidates": {"kind": "spectral"}},
+    {"command": "verify", "property": "reduction", "samples": 3, "length": 3, "seed": 1},
+    {"command": "verify", "property": "monotonicity", "samples": 2, "length": 2,
+     "step": 0.25, "seed": 1},
+    {"command": "verify", "property": "monotonicity", "theory": "qrand_quniform",
+     "samples": 2, "length": 2, "step": 0.25, "seed": 1},
+    {"command": "verify", "property": "optimality", "samples": 1, "max_objects": 3,
+     "seed": 1},
+    {"command": "verify", "property": "hlp_agreement", "length": 2, "step": 0.25},
+    {"command": "verify", "property": "data_processing", "samples": 3, "length": 3,
+     "out_length": 2, "seed": 1},
+    {"command": "verify", "property": "coincidence", "samples": 2, "dims": [2, 3],
+     "bases": 3, "seed": 1},
+    {"command": "lorenz", "distributions": [[0.7, 0.3]], "out": "curve.csv"},
+    {"command": "lorenz", "distributions": [[0.7, 0.3], [0.5, 0.5]], "out": "pair.csv"},
+]
+# Never a large number, so that no broken config can run long.
+FUZZ_VALUES = [None, [], {}, "x", -1, 0, 1.5]
+
+
+def value_paths(doc, prefix=()):
+    """Paths to every value nested in a config document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from value_paths(value, prefix + (key,))
+
+
+FUZZ_SITES = [(i, path) for i, base in enumerate(FUZZ_BASES) for path in value_paths(base)]
+
+
+def replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+class TestConfigFuzz:
+    def test_bases_are_valid(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for cfg in FUZZ_BASES:
+            code, _, _ = run_and_validate(tmp_path, cfg)
+            assert code == 0
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(site=st.sampled_from(FUZZ_SITES), value=st.sampled_from(FUZZ_VALUES))
+    def test_one_bad_value_never_escapes(self, tmp_path, monkeypatch, site, value):
+        monkeypatch.chdir(tmp_path)
+        base, path = site
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(replaced(FUZZ_BASES[base], path, value)))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["--config", str(config)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert_one_error_line(err.getvalue())
+        else:
+            jsonschema.validate(json.loads(out.getvalue()), SCHEMA)
 
 
 class TestDeterminism:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import bell_state, product_state
+from kanext import quantum, theories
 from kanext.kan import (
     EnumerationBudgetError,
     ExtensionProblem,
@@ -212,6 +213,24 @@ class TestSinglePass:
         assert (lo.value, hi.value) == (2.0, 2.0)
         assert mapped == Counter(range(4))
         assert valued == Counter(range(4))
+
+    def test_decomposes_each_density_matrix_once(self, monkeypatch, rng):
+        calls = Counter()
+
+        def counting(rho):
+            calls[id(rho)] += 1
+            return original(rho)
+
+        # patch every module binding, so that a direct caller is counted too
+        original = quantum.eig_hermitian
+        for module in (quantum, theories):
+            monkeypatch.setattr(module, "eig_hermitian", counting, raising=False)
+        candidates = simplex_grid(3, 0.25)
+        y = ResourceRef(QRAND_QUNIFORM, random_density(rng, 3))
+        extension(embedding_problem(candidates), y)
+        # the target and each candidate's image, once each
+        assert sum(calls.values()) == len(candidates) + 1
+        assert calls[id(y.payload)] == 1
 
 
 class TestGridRefinement:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kanext import prob
 from kanext.prob import (
     Dist,
     DimensionMismatch,
@@ -252,6 +253,25 @@ class TestSimplexGrid:
     def test_bad_step(self):
         with pytest.raises(InvariantViolation):
             simplex_grid(2, 0.3)
+
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_rejects_length_below_one(self, length):
+        with pytest.raises(prob.GridSizeError):
+            simplex_grid(length, 0.25)
+
+    def test_caps_point_count_before_building(self, monkeypatch):
+        def no_points(*args, **kwargs):
+            raise AssertionError("grid points were built before the size check")
+
+        monkeypatch.setattr(prob, "GRID_POINTS_CAP", 21)
+        assert len(simplex_grid(2, 0.05)) == 21
+        monkeypatch.setattr(prob, "Dist", no_points)
+        with pytest.raises(prob.GridSizeError):
+            simplex_grid(2, 1 / 21)
+        monkeypatch.undo()
+        monkeypatch.setattr(prob, "Dist", no_points)
+        with pytest.raises(prob.GridSizeError):
+            simplex_grid(9, 0.01)  # about 4e11 points
 
 
 class TestExtValueJson:

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,28 @@ class TestEigHermitian:
         b = eig_hermitian(rho)
         assert np.array_equal(a.eigenvalues.weights, b.eigenvalues.weights)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+class TestSpectrumCache:
+    def test_computed_once_and_equal_to_eig_hermitian(self, rng):
+        rho = random_density(rng, 3)
+        assert rho.spectrum is rho.spectrum
+        direct = eig_hermitian(rho)
+        assert np.array_equal(rho.spectrum.eigenvalues.weights, direct.eigenvalues.weights)
+        assert np.array_equal(rho.spectrum.eigenvectors, direct.eigenvectors)
+
+    def test_shared_arrays_are_read_only(self, rng):
+        spec = random_density(rng, 3).spectrum
+        with pytest.raises(ValueError):
+            spec.eigenvalues.weights[0] = 0.5
+        with pytest.raises(ValueError):
+            spec.eigenvectors[0, 0] = 1.0
+
+    def test_entries_stay_frozen(self, rng):
+        rho = random_density(rng, 2)
+        assert rho.spectrum is not None
+        with pytest.raises(FrozenInstanceError):
+            rho.entries = np.eye(2) / 2
 
 
 class TestEmbedding:
