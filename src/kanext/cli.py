@@ -52,13 +52,22 @@ from .quantum import (
     random_unitary,
     spectral_entropy,
 )
-from .theories import RAND_UNIFORM, default_registry, make_functor, make_monotone
+from .theories import (
+    RAND_UNIFORM,
+    default_registry,
+    make_functor,
+    make_monotone,
+    rand_uniform_oracle,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 GRID_STEP_RANGE = (0.01, 0.25)
+# Most ordered grid pairs hlp_agreement will check, one LP solve each; the
+# default grid (length 3, step 0.05) has 53,361.
+HLP_PAIRS_CAP = 60_000
 
 PROPERTIES = (
     "reduction",
@@ -185,8 +194,11 @@ def cmd_reach(cfg: dict) -> tuple[int, dict]:
         "reachable": decision.reachable,
         "exact": decision.exact,
     }
-    if decision.witness is not None:
-        doc["witness"] = payload_to_json(decision.witness)
+    witness = decision.witness
+    if witness is None and decision.reachable and entry.witness is not None:
+        witness = entry.witness(source.payload, target.payload)
+    if witness is not None:
+        doc["witness"] = payload_to_json(witness)
     return EXIT_OK, doc
 
 
@@ -319,6 +331,11 @@ def _verify_optimality(cfg: dict, rng: np.random.Generator) -> dict:
 def _verify_hlp(cfg: dict, rng: np.random.Generator) -> dict:
     length = _number(cfg.get("length", 3), "length")
     grid = simplex_grid(length, _grid_step(cfg.get("step", 0.05)))
+    if len(grid) ** 2 > HLP_PAIRS_CAP:
+        raise ConfigError(
+            f"hlp_agreement over {len(grid)} grid points checks {len(grid) ** 2} "
+            f"pairs, over the cap of {HLP_PAIRS_CAP}"
+        )
     disagreements = []
     for p in grid:
         for q in grid:
@@ -437,7 +454,7 @@ def cmd_lorenz(cfg: dict) -> tuple[int, dict]:
         content = curves[0].to_csv()
         doc = {"command": "lorenz", "out": out, "curves": 1}
     else:
-        dominated = majorizes(dists[0], dists[1])
+        dominated = rand_uniform_oracle(dists[0], dists[1]).reachable
         blocks = [
             "# curve: p\n" + curves[0].to_csv(),
             "# curve: q\n" + curves[1].to_csv(),

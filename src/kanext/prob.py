@@ -22,7 +22,8 @@ INF = math.inf
 NORMALIZATION_TOL = 1e-9
 # Entry/row-sum checks after repair.
 STOCHASTIC_TOL = 1e-12
-# Slack for ordinate comparisons in majorization (covers cumsum error, n <= 64).
+# Slack for ordinate comparisons in majorization and relative majorization
+# (covers cumsum and hockey-stick summation error, n <= 64).
 ORDER_SLACK = 1e-10
 # Most points simplex_grid will build; the largest grid the tests sweep is
 # length 5 at step 0.05 (10,626 points).
@@ -70,7 +71,8 @@ class Dist:
             raise InvariantViolation(f"negative weight in {w}")
         w = np.clip(w, 0.0, None)
         total = w.sum()
-        if abs(total - 1.0) >= NORMALIZATION_TOL:
+        # written so that a NaN total fails too
+        if not abs(total - 1.0) < NORMALIZATION_TOL:
             raise InvariantViolation(f"weights sum to {total}, expected 1")
         w = w / total
         w.setflags(write=False)
@@ -111,7 +113,7 @@ class StochMatrix:
             raise InvariantViolation("negative entry in stochastic matrix")
         m = np.clip(m, 0.0, None)
         row_sums = m.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) >= NORMALIZATION_TOL):
+        if not np.all(np.abs(row_sums - 1.0) < NORMALIZATION_TOL):
             raise InvariantViolation(f"row sums {row_sums} deviate from 1")
         m = m / row_sums[:, None]
         m.setflags(write=False)
@@ -209,6 +211,40 @@ def majorizes(p: Dist, q: Dist) -> bool:
     a = np.sort(np.concatenate([p.weights, np.zeros(n - len(p))]))
     b = np.sort(np.concatenate([q.weights, np.zeros(n - len(q))]))
     return bool(np.all(np.cumsum(a) <= np.cumsum(b) + ORDER_SLACK))
+
+
+def relatively_majorizes(source: tuple[Dist, Dist], target: tuple[Dist, Dist]) -> bool:
+    """True iff one stochastic matrix M carries p to p2 and q to q2.
+
+    Blackwell's theorem for dichotomies (Blackwell 1953; Renes, J. Math.
+    Phys. 57, 2016, arXiv:1510.03695): such an M exists iff for every t >= 0
+    the hockey-stick value E_t(p||q) = sum_i (p_i - t q_i)_+ is at least
+    E_t(p2||q2).  Both sides equal 1 at t = 0 and are piecewise linear in t,
+    with breakpoints p_i/q_i (q_i > 0) and p2_j/q2_j (q2_j > 0); beyond the
+    last one each side is constant, sum_{q_i = 0} p_i.  So the breakpoints
+    and that limit decide.  A breakpoint t = a/b is evaluated as
+    b E_t = sum_i (b p_i - a q_i)_+, which divides by nothing.  Each
+    comparison allows ORDER_SLACK on E_t.
+
+    A uniform map from length n to length k is a stochastic map carrying
+    u_n to u_k, so pairs (p, u_n) -> (q, u_k) decide uniform-map
+    reachability (Gour et al., Phys. Rep. 583, 2015, arXiv:1309.6586).
+    """
+    (p, q), (p2, q2) = source, target
+    if len(p) != len(q):
+        raise DimensionMismatch("pair components must share a length")
+    if len(p2) != len(q2):
+        raise DimensionMismatch("target components must share a length")
+    # both pairs side by side; sign turns a sum over them into lhs - rhs
+    x = np.concatenate((p.weights, p2.weights))
+    y = np.concatenate((q.weights, q2.weights))
+    sign = np.repeat((1.0, -1.0), (len(p), len(p2)))
+    if (sign * x)[y == 0].sum() < -ORDER_SLACK:
+        return False
+    live = y > 0
+    a, b = x[live, None], y[live, None]
+    gap = np.maximum(b * x - a * y, 0.0) @ sign
+    return bool(np.all(gap >= -ORDER_SLACK * b[:, 0]))
 
 
 def apply(p: Dist, m: StochMatrix) -> Dist:

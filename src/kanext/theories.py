@@ -13,7 +13,8 @@ Theory ids are stable strings used by the CLI config:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from functools import lru_cache
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -29,7 +30,14 @@ from .pcat import (
     ReachabilityOracle,
     ResourceRef,
 )
-from .prob import Dist, StochMatrix, kl_divergence, majorizes, shannon_entropy
+from .prob import (
+    Dist,
+    StochMatrix,
+    kl_divergence,
+    majorizes,
+    relatively_majorizes,
+    shannon_entropy,
+)
 from .quantum import (
     BipartitePure,
     DensityMatrix,
@@ -56,16 +64,28 @@ def rand_detmn_oracle(p: Dist, q: Dist) -> Decision:
     return Decision(res.feasible, res.witness, exact=True)
 
 
-def rand_uniform_oracle(p: Dist, q: Dist) -> Decision:
-    """Majorization decides equal lengths; the LP covers the rest.
+@lru_cache(maxsize=64)
+def _uniform(n: int) -> Dist:
+    """u_n, built once per length; sharing is sound, Dist is immutable."""
+    return Dist.uniform(n)
 
-    The fast path never builds a witness; exists_uniform_map recovers one
-    and the tests cross-validate the two deciders against each other.
-    """
+
+def rand_uniform_oracle(p: Dist, q: Dist) -> Decision:
+    """Majorization decides equal lengths; unequal lengths compare the pairs
+    (p, u_n) and (q, u_k) by relative majorization, since a uniform map is
+    a stochastic map carrying u_n to u_k.  Neither builds a witness."""
     if len(p) == len(q):
         return Decision(majorizes(p, q), None, exact=True)
-    res = exists_uniform_map(p, q)
-    return Decision(res.feasible, res.witness, exact=True)
+    reachable = relatively_majorizes((p, _uniform(len(p))), (q, _uniform(len(q))))
+    return Decision(reachable, None, exact=True)
+
+
+def uniform_map_witness(p: Dist, q: Dist) -> StochMatrix | None:
+    """The LP's uniform map from p to q at unequal lengths; reach reports
+    none at equal lengths, where majorization decides."""
+    if len(p) == len(q):
+        return None
+    return exists_uniform_map(p, q).witness
 
 
 def qrand_quniform_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> Decision:
@@ -75,23 +95,35 @@ def qrand_quniform_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> Decision:
     embedded-classical endpoints as well, since measuring in the eigenbasis
     and preparing along an orthonormal basis are both unital.  Differing
     dimensions fall back to a composite family (measure, classical uniform
-    map, prepare); positives are genuine but the decision is flagged
-    inexact.
+    map, prepare), decided on the spectra as in rand_uniform; positives are
+    genuine but the decision is flagged inexact, since no theorem here
+    covers unital channels between different dimensions.
     """
-    spec_rho = rho.spectrum.eigenvalues
-    spec_sigma = sigma.spectrum.eigenvalues
-    if rho.dim == sigma.dim:
-        return Decision(majorizes(spec_rho, spec_sigma), None, exact=True)
-    res = exists_uniform_map(spec_rho, spec_sigma)
-    return Decision(res.feasible, res.witness, exact=False)
+    spectra = rho.spectrum.eigenvalues, sigma.spectrum.eigenvalues
+    reachable = rand_uniform_oracle(*spectra).reachable
+    return Decision(reachable, None, exact=rho.dim == sigma.dim)
+
+
+def qrand_quniform_witness(
+    rho: DensityMatrix, sigma: DensityMatrix
+) -> StochMatrix | None:
+    """The classical uniform map between the spectra, at unequal dimensions."""
+    return uniform_map_witness(rho.spectrum.eigenvalues, sigma.spectrum.eigenvalues)
 
 
 def cdistinguish_oracle(
     pair: tuple[Dist, Dist], target: tuple[Dist, Dist]
 ) -> Decision:
-    """One stochastic matrix must carry both components simultaneously."""
-    res = exists_joint_stochastic_map(pair, target)
-    return Decision(res.feasible, res.witness, exact=True)
+    """One stochastic matrix must carry both components simultaneously,
+    which relative majorization decides."""
+    return Decision(relatively_majorizes(pair, target), None, exact=True)
+
+
+def cdistinguish_witness(
+    pair: tuple[Dist, Dist], target: tuple[Dist, Dist]
+) -> StochMatrix | None:
+    """The LP's joint map carrying the pair to the target."""
+    return exists_joint_stochastic_map(pair, target).witness
 
 
 def purebip_locc_oracle(phi: BipartitePure, psi: BipartitePure) -> Decision:
@@ -118,6 +150,23 @@ def _common_eigenbasis(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return basis
 
 
+def _joint_outcomes(
+    source: tuple[DensityMatrix, DensityMatrix],
+    target: tuple[DensityMatrix, DensityMatrix],
+) -> tuple[tuple[Dist, Dist], tuple[Dist, Dist]] | None:
+    """Both pairs measured in a joint eigenbasis, or None unless each pair
+    commutes internally."""
+    (rho, sigma), (rho2, sigma2) = source, target
+    v = _common_eigenbasis(rho.entries, sigma.entries)
+    w = _common_eigenbasis(rho2.entries, sigma2.entries)
+    if v is None or w is None:
+        return None
+    return (
+        (basis_outcomes(rho, v), basis_outcomes(sigma, v)),
+        (basis_outcomes(rho2, w), basis_outcomes(sigma2, w)),
+    )
+
+
 def distinguish_restricted_oracle(
     source: tuple[DensityMatrix, DensityMatrix],
     target: tuple[DensityMatrix, DensityMatrix],
@@ -126,9 +175,9 @@ def distinguish_restricted_oracle(
 
     Searches unitary conjugations composed with embedded stochastic maps:
     when both pairs commute internally, rotate to a joint eigenbasis and
-    decide the classical joint-processing LP.  Positives are certified by
-    the found channel; negatives only mean the family has no witness, so
-    they are flagged inexact.
+    decide the classical pairs by relative majorization.  Positives are
+    certified by a channel of the family; negatives only mean the family
+    has no witness, so they are flagged inexact.
     """
     rho, sigma = source
     rho2, sigma2 = target
@@ -139,16 +188,21 @@ def distinguish_restricted_oracle(
         )
         if same:
             return Decision(True, "identity", exact=True)
-    v = _common_eigenbasis(rho.entries, sigma.entries)
-    w = _common_eigenbasis(rho2.entries, sigma2.entries)
-    if v is not None and w is not None:
-        res = exists_joint_stochastic_map(
-            (basis_outcomes(rho, v), basis_outcomes(sigma, v)),
-            (basis_outcomes(rho2, w), basis_outcomes(sigma2, w)),
-        )
-        if res.feasible:
-            return Decision(True, res.witness, exact=True)
+    classical = _joint_outcomes(source, target)
+    if classical is not None and relatively_majorizes(*classical):
+        return Decision(True, None, exact=True)
     return Decision(False, None, exact=False)
+
+
+def distinguish_restricted_witness(
+    source: tuple[DensityMatrix, DensityMatrix],
+    target: tuple[DensityMatrix, DensityMatrix],
+) -> StochMatrix | None:
+    """The LP's joint map between the pairs' joint-eigenbasis outcomes."""
+    classical = _joint_outcomes(source, target)
+    if classical is None:
+        return None
+    return exists_joint_stochastic_map(*classical).witness
 
 
 def embed_classical_payload(payload):
@@ -190,8 +244,13 @@ def identity_functor(theory_id: str) -> FunctorMap:
 
 @dataclass(frozen=True)
 class TheoryEntry:
+    """A theory's object kind and oracle.  ``witness(source, target)``, where
+    given, builds the free transformation that ``reach`` reports for a
+    reachable pair whose decision carries none."""
+
     kind: str
     oracle: ReachabilityOracle
+    witness: Callable[[Any, Any], Any] | None = None
 
 
 @dataclass(frozen=True)
@@ -223,16 +282,21 @@ def _wrap(theory_id: str, fn: Callable, exact: bool) -> ReachabilityOracle:
 def default_registry() -> TheoryRegistry:
     entries = {
         RAND_DETMN: TheoryEntry("dist", _wrap(RAND_DETMN, rand_detmn_oracle, True)),
-        RAND_UNIFORM: TheoryEntry("dist", _wrap(RAND_UNIFORM, rand_uniform_oracle, True)),
+        RAND_UNIFORM: TheoryEntry(
+            "dist", _wrap(RAND_UNIFORM, rand_uniform_oracle, True), uniform_map_witness
+        ),
         QRAND_QUNIFORM: TheoryEntry(
-            "density", _wrap(QRAND_QUNIFORM, qrand_quniform_oracle, True)
+            "density",
+            _wrap(QRAND_QUNIFORM, qrand_quniform_oracle, True),
+            qrand_quniform_witness,
         ),
         CDISTINGUISH: TheoryEntry(
-            "dist_pair", _wrap(CDISTINGUISH, cdistinguish_oracle, True)
+            "dist_pair", _wrap(CDISTINGUISH, cdistinguish_oracle, True), cdistinguish_witness
         ),
         DISTINGUISH_RESTRICTED: TheoryEntry(
             "density_pair",
             _wrap(DISTINGUISH_RESTRICTED, distinguish_restricted_oracle, False),
+            distinguish_restricted_witness,
         ),
         PUREBIP_LOCC: TheoryEntry("pure", _wrap(PUREBIP_LOCC, purebip_locc_oracle, True)),
     }

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kanext import cli, prob
+from kanext.lp import exists_joint_stochastic_map, exists_uniform_map
 from kanext.prob import Dist, shannon_entropy
 from kanext.quantum import complex_matrix_to_json
 
@@ -98,6 +99,30 @@ class TestReach:
         })
         assert code == 0
         assert doc["witness"] == [[1.0], [1.0]]
+
+    @pytest.mark.parametrize("theory", ["rand_uniform", "cdistinguish",
+                                        "distinguish_restricted"])
+    def test_positives_print_the_lp_witness(self, tmp_path, theory):
+        p, q = [0.2, 0.3, 0.5], [0.5, 0.3, 0.2]
+        m = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        p2, q2 = list(np.array(p) @ m), list(np.array(q) @ m)
+        if theory == "rand_uniform":
+            source, target = p, [0.5, 0.5]
+            expected = exists_uniform_map(Dist(p), Dist([0.5, 0.5]))
+        else:
+            source, target = [p, q], [p2, q2]
+            expected = exists_joint_stochastic_map(
+                (Dist(p), Dist(q)), (Dist(p2), Dist(q2)))
+        if theory == "distinguish_restricted":
+            # p and p2 increase strictly, so the joint eigenbases keep the
+            # standard outcome order and the classical LP applies as is
+            source = [density_json(d) for d in source]
+            target = [density_json(d) for d in target]
+        code, doc, _ = run_and_validate(tmp_path, {
+            "command": "reach", "theory": theory, "source": source, "target": target,
+        })
+        assert (code, doc["reachable"], doc["exact"]) == (0, True, True)
+        assert doc["witness"] == expected.witness.to_json()
 
 
 class TestExtend:
@@ -303,6 +328,18 @@ class TestLorenz:
         assert text.count("x,y") == 2
         assert doc["q_majorized_by_p"] is True
 
+    def test_unequal_lengths_agree_with_reach(self, tmp_path):
+        p, q = [0.25, 0.25, 0.25, 0.25], [0.5, 0.5]
+        code, doc, _ = run_and_validate(tmp_path, {
+            "command": "lorenz", "distributions": [p, q], "out": str(tmp_path / "c.csv"),
+        })
+        assert code == 0
+        _, reach, _ = run_and_validate(tmp_path, {
+            "command": "reach", "theory": "rand_uniform", "source": p, "target": q,
+        })
+        assert doc["q_majorized_by_p"] is reach["reachable"] is True
+        assert "# q_majorized_by_p: true" in (tmp_path / "c.csv").read_text()
+
 
 class TestUsageErrors:
     def test_missing_key(self, tmp_path):
@@ -382,6 +419,24 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert_one_error_line(capsys.readouterr().err)
 
+    def test_hlp_pair_cap_is_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        class Solved(Exception):
+            pass
+
+        def no_solve(p, q):
+            raise Solved
+
+        monkeypatch.setattr(cli, "exists_uniform_map", no_solve)
+        # 10,626 points, about 1.1e8 pairs: refused
+        code, out = run_main(tmp_path, {
+            "command": "verify", "property": "hlp_agreement", "length": 5, "step": 0.05,
+        })
+        assert (code, out) == (2, "")
+        assert_one_error_line(capsys.readouterr().err)
+        # the default grid, 231 points: admitted, so it reaches the first solve
+        with pytest.raises(Solved):
+            run_main(tmp_path, {"command": "verify", "property": "hlp_agreement"})
+
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -398,10 +453,13 @@ class TestUsageErrors:
             {"command": "reach", "theory": [], "source": [1.0], "target": [1.0]},
             {"command": "lorenz", "distributions": None, "out": "curve.csv"},
             {"command": "lorenz", "distributions": [[0.5, 0.5]], "out": ["curve.csv"]},
+            {"command": "reach", "theory": "rand_uniform", "source": [0.7, None],
+             "target": [0.5, 0.5]},
+            {"command": "lorenz", "distributions": [[0.7, None]], "out": "curve.csv"},
         ],
         ids=["grid_length_null", "grid_step_list", "samples_object", "dims_null",
              "dims_entry_list", "seed_null", "theory_list", "distributions_null",
-             "out_list"],
+             "out_list", "source_null_weight", "lorenz_null_weight"],
     )
     def test_wrongly_typed_values_exit_2(self, tmp_path, capsys, monkeypatch, cfg):
         monkeypatch.chdir(tmp_path)

@@ -21,9 +21,11 @@ from kanext.prob import (
     kl_divergence,
     majorizes,
     random_stochastic,
+    relatively_majorizes,
     shannon_entropy,
     simplex_grid,
 )
+from kanext.theories import rand_uniform_oracle
 
 
 def brute_force_deterministic(p: Dist, q: Dist) -> bool:
@@ -186,6 +188,83 @@ class TestExistsJointStochasticMap:
             p2, q2 = apply(p, m), apply(q, m)
             if exists_joint_stochastic_map((p, q), (p2, q2)).feasible:
                 assert kl_divergence(p2, q2) <= kl_divergence(p, q) + 1e-9
+
+
+def sparse_dist(rng, n: int) -> np.ndarray:
+    """Dirichlet weights with about a third of the entries zeroed."""
+    w = rng.dirichlet(np.ones(n))
+    w[rng.random(n) < 0.3] = 0.0
+    if w.sum() == 0:
+        w[rng.integers(n)] = 1.0
+    return w / w.sum()
+
+
+def nudged(rng, w: np.ndarray) -> np.ndarray:
+    """w moved by 1e-7 to 1e-3 along a random zero-sum direction: images
+    pushed just inside or just outside the reachable set."""
+    d = rng.normal(size=w.size)
+    d -= d.mean()
+    v = np.clip(w + 10 ** rng.uniform(-7, -3) * d, 0.0, None)
+    return v / v.sum()
+
+
+def uniform_map(rng, n: int, k: int) -> np.ndarray:
+    """A random n x k matrix with rows summing to 1 and columns to n/k."""
+    m = rng.random((n, k)) + 0.05
+    for _ in range(500):
+        m /= m.sum(axis=1, keepdims=True)
+        m *= (n / k) / m.sum(axis=0)
+    return m / m.sum(axis=1, keepdims=True)
+
+
+class TestRelativelyMajorizesAgreesWithLp:
+    """The closed-form decider against the LP, an independent code path."""
+
+    def test_joint_stochastic_maps(self, rng):
+        verdicts = []
+        for i in range(400):
+            n, k = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            draw = sparse_dist if i % 4 >= 2 else lambda r, m: r.dirichlet(np.ones(m))
+            p, q = draw(rng, n), draw(rng, n)
+            if i % 2 == 0:
+                m = rng.dirichlet(np.ones(k), size=n)
+                p2, q2 = p @ m, q @ m
+                if i % 8 == 0 and k > 1:
+                    p2 = nudged(rng, p2)
+            else:
+                p2, q2 = draw(rng, k), draw(rng, k)
+            pair, target = (Dist(p), Dist(q)), (Dist(p2), Dist(q2))
+            lp_says = exists_joint_stochastic_map(pair, target).feasible
+            assert relatively_majorizes(pair, target) == lp_says, (p, q, p2, q2)
+            verdicts.append(lp_says)
+        assert 0.2 < np.mean(verdicts) < 0.9
+
+    def test_uniform_maps_at_unequal_lengths(self, rng):
+        verdicts = []
+        for i in range(300):
+            n, k = rng.choice(np.arange(1, 6), size=2, replace=False)
+            p = sparse_dist(rng, n) if i % 3 == 0 else rng.dirichlet(np.ones(n))
+            if i % 2 == 0:
+                q = p @ uniform_map(rng, n, k)
+                if i % 4 == 0 and k > 1:
+                    q = nudged(rng, q)
+            else:
+                q = sparse_dist(rng, k) if i % 5 == 0 else rng.dirichlet(np.ones(k))
+            p, q = Dist(p), Dist(q)
+            lp_says = exists_uniform_map(p, q).feasible
+            closed = relatively_majorizes((p, Dist.uniform(n)), (q, Dist.uniform(k)))
+            assert closed == lp_says == rand_uniform_oracle(p, q).reachable, (p, q)
+            verdicts.append(lp_says)
+        assert 0.2 < np.mean(verdicts) < 0.9
+
+    def test_uniform_maps_on_grids_of_unequal_lengths(self):
+        for n, k in [(2, 3), (3, 2), (4, 3)]:
+            for p in simplex_grid(n, 0.25):
+                for q in simplex_grid(k, 0.25):
+                    assert (
+                        rand_uniform_oracle(p, q).reachable
+                        == exists_uniform_map(p, q).feasible
+                    ), (p, q)
 
 
 class TestExistsDeterministicMap:

@@ -23,6 +23,7 @@ from kanext.prob import (
     majorizes,
     random_deterministic,
     random_uniform_matrix,
+    relatively_majorizes,
     shannon_entropy,
     simplex_grid,
 )
@@ -46,6 +47,11 @@ class TestDist:
         with pytest.raises(InvariantViolation):
             Dist([0.5, 0.5 + 1e-6])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(InvariantViolation):
+            Dist([0.7, bad])
+
     def test_rejects_empty(self):
         with pytest.raises(InvariantViolation):
             Dist([])
@@ -64,6 +70,10 @@ class TestStochMatrix:
     def test_rejects_bad_rows(self):
         with pytest.raises(InvariantViolation):
             StochMatrix([[0.5, 0.4], [0.5, 0.5]])
+
+    def test_rejects_nan_entries(self):
+        with pytest.raises(InvariantViolation):
+            StochMatrix([[0.5, np.nan], [0.5, 0.5]])
 
     def test_json_round_trip(self):
         m = StochMatrix([[0.5, 0.5], [0.0, 1.0]])
@@ -152,6 +162,35 @@ class TestLorenzCurve:
         curve = lorenz_curve(Dist([0.7, 0.3]))
         assert curve.ordinate_at(0.25) == pytest.approx(0.15)
         assert curve.ordinate_at(0.75) == pytest.approx(0.65)
+
+
+class TestRelativelyMajorizes:
+    def test_pair_reaches_itself_and_its_trivial_image(self):
+        pair = (Dist([0.7, 0.2, 0.1]), Dist([0.1, 0.3, 0.6]))
+        assert relatively_majorizes(pair, pair)
+        assert relatively_majorizes(pair, (Dist([1.0]), Dist([1.0])))
+        assert not relatively_majorizes((Dist([1.0]), Dist([1.0])), pair)
+
+    def test_orthogonal_pair_reaches_everything(self):
+        target = (Dist([0.6, 0.4]), Dist([0.3, 0.7]))
+        assert relatively_majorizes((Dist([1.0, 0.0]), Dist([0.0, 1.0])), target)
+
+    def test_limit_condition_alone_can_refuse(self):
+        # q's support misses 0.5 of p's weight, q2's misses 0.6 of p2's
+        source = (Dist([0.5, 0.5]), Dist([0.0, 1.0]))
+        assert not relatively_majorizes(source, (Dist([0.6, 0.4]), Dist([0.0, 1.0])))
+        assert relatively_majorizes(source, (Dist([0.4, 0.6]), Dist([0.0, 1.0])))
+
+    def test_uniform_second_components_reduce_to_majorization(self):
+        u = Dist.uniform(2)
+        assert relatively_majorizes((Dist([0.7, 0.3]), u), (Dist([0.5, 0.5]), u))
+        assert not relatively_majorizes((Dist([0.5, 0.5]), u), (Dist([0.7, 0.3]), u))
+
+    def test_unequal_components_raise(self):
+        with pytest.raises(DimensionMismatch):
+            relatively_majorizes((Dist([0.5, 0.5]), Dist([1.0])), (Dist([1.0]), Dist([1.0])))
+        with pytest.raises(DimensionMismatch):
+            relatively_majorizes((Dist([1.0]), Dist([1.0])), (Dist([0.5, 0.5]), Dist([1.0])))
 
 
 class TestMajorizes:

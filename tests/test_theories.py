@@ -1,9 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import bell_state, product_state
+from kanext import lp
+from kanext.kan import ExtensionProblem, extension
 from kanext.lp import SizeLimitError, exists_uniform_map
-from kanext.pcat import ResourceRef
+from kanext.pcat import COVARIANT, ResourceRef
 from kanext.prob import (
     Dist,
     StochMatrix,
@@ -32,6 +36,7 @@ from kanext.theories import (
     classical_to_quantum_pair_functor,
     default_registry,
     distinguish_restricted_oracle,
+    distinguish_restricted_witness,
     make_functor,
     make_monotone,
     qrand_quniform_oracle,
@@ -92,11 +97,16 @@ class TestRandUniformOracle:
         assert rand_uniform_oracle(p, Dist([0.5, 0.5])).reachable
         assert not rand_uniform_oracle(Dist([0.5, 0.5]), p).reachable
 
-    def test_unequal_lengths_use_lp(self):
-        d = rand_uniform_oracle(Dist([0.5, 0.5]), Dist([1.0]))
+    def test_unequal_lengths_decided_in_closed_form(self):
+        p, q = Dist([0.5, 0.5]), Dist([1.0])
+        d = rand_uniform_oracle(p, q)
         assert d.reachable
-        assert isinstance(d.witness, StochMatrix)
+        assert d.witness is None
         assert d.exact
+        # the LP builds the witness that reach reports
+        witness = REGISTRY.entry(RAND_UNIFORM).witness(p, q)
+        assert isinstance(witness, StochMatrix)
+        assert is_uniform_matrix(witness)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_agrees_with_lp_on_full_grid(self, n):
@@ -174,7 +184,7 @@ class TestDistinguishRestrictedOracle:
         d = distinguish_restricted_oracle((rho, sigma), (rho, sigma))
         assert d.reachable and d.exact
 
-    def test_diagonal_pairs_delegate_to_lp(self, rng):
+    def test_diagonal_pairs_decided_in_closed_form(self, rng):
         p = Dist(rng.dirichlet(np.ones(3)))
         q = Dist(rng.dirichlet(np.ones(3)))
         m = random_stochastic(rng, 3, 2)
@@ -182,7 +192,10 @@ class TestDistinguishRestrictedOracle:
         dst = (embed_classical(apply(p, m)), embed_classical(apply(q, m)))
         d = distinguish_restricted_oracle(src, dst)
         assert d.reachable and d.exact
-        assert isinstance(d.witness, StochMatrix)
+        assert d.witness is None
+        witness = distinguish_restricted_witness(src, dst)
+        assert isinstance(witness, StochMatrix)
+        assert witness.shape == (3, 2)
 
     def test_rotated_commuting_pairs(self, rng):
         p = Dist([0.8, 0.2])
@@ -204,6 +217,52 @@ class TestDistinguishRestrictedOracle:
         )
         assert not d.reachable
         assert not d.exact  # a negative here is only "no witness found"
+
+
+class TestClosedFormSweeps:
+    @pytest.mark.parametrize(
+        "theory", [RAND_UNIFORM, CDISTINGUISH, DISTINGUISH_RESTRICTED]
+    )
+    def test_extend_solves_no_lp(self, monkeypatch, rng, theory):
+        calls = []
+
+        def counting(problem):
+            calls.append(problem)
+            return original(problem)
+
+        # patch every module binding, so that a direct caller is counted too
+        original = lp.solve_feasibility
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "kanext" and hasattr(module, "solve_feasibility"):
+                monkeypatch.setattr(module, "solve_feasibility", counting)
+        if theory == RAND_UNIFORM:
+            y = Dist(rng.dirichlet(np.ones(3)))
+            candidates = simplex_grid(4, 0.25)
+            functor, monotone = make_functor("identity", theory), "shannon"
+        else:
+            x0 = (Dist(rng.dirichlet(np.ones(4))), Dist(rng.dirichlet(np.ones(4))))
+            m = random_stochastic(rng, 4, 3)
+            y = (apply(x0[0], m), apply(x0[1], m))
+            candidates = [x0] + [
+                (Dist(rng.dirichlet(np.ones(4))), Dist(rng.dirichlet(np.ones(4))))
+                for _ in range(10)
+            ]
+            monotone = "kl"
+            if theory == CDISTINGUISH:
+                functor = make_functor("identity", theory)
+            else:
+                functor = classical_to_quantum_pair_functor()
+                y = (embed_classical(y[0]), embed_classical(y[1]))
+        problem = ExtensionProblem(
+            make_monotone(monotone, COVARIANT),
+            functor,
+            REGISTRY.oracle(theory),
+            tuple(ResourceRef(functor.source_theory, c) for c in candidates),
+        )
+        # one sweep decides y -> K(x) and K(x) -> y for every candidate
+        lo, hi = extension(problem, ResourceRef(theory, y))
+        assert lo.witness is not None or hi.witness is not None
+        assert calls == []
 
 
 class TestPurebipOracle:
