@@ -13,31 +13,9 @@ import numpy as np
 
 from .kan import ExtensionProblem, FunctorMap
 from .pcat import CONTRAVARIANT, COVARIANT, Decision, MonotoneSpec, ReachabilityOracle, ResourceRef
-from .prob import INF, Dist, ExtValue, InvariantViolation, StochMatrix, simplex_grid
-from .quantum import BipartitePure, DensityMatrix, RANK_TOL, eig_hermitian, schmidt_rank
+from .prob import INF, ExtValue, InvariantViolation
 
 DEFAULT_TOY_GRID: tuple[ExtValue, ...] = (0.0, 0.5, 1.0, 2.0, INF)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Step size and caps for grid-discretized enumeration."""
-
-    step: float
-    max_length: int = 6
-
-    def __post_init__(self):
-        if not 0 < self.step <= 1:
-            raise InvariantViolation(f"step {self.step} outside (0, 1]")
-        units = round(1.0 / self.step)
-        if abs(units * self.step - 1.0) > 1e-12:
-            raise InvariantViolation(f"step {self.step} does not divide 1")
-
-
-def grid_distributions(spec: GridSpec, length: int) -> list[Dist]:
-    if length > spec.max_length:
-        raise InvariantViolation(f"length {length} exceeds cap {spec.max_length}")
-    return simplex_grid(length, spec.step)
 
 
 def bf_minimal_extension(problem: ExtensionProblem, y: ResourceRef) -> ExtValue:
@@ -75,82 +53,6 @@ def bf_maximal_extension(problem: ExtensionProblem, y: ResourceRef) -> ExtValue:
                 best = v
     if best is None:
         return 0.0 if covariant else INF
-    return best
-
-
-def bf_uniform_map_search(
-    p: Dist, q: Dist, spec: GridSpec, tol: float = 1e-9
-) -> StochMatrix | None:
-    """Search grid-valued uniform matrices carrying p to q.
-
-    Certifies reachability when it finds a witness; a miss only means no
-    witness exists at this grid resolution.
-    """
-    n, k = len(p), len(q)
-    rows = [r.weights for r in grid_distributions(spec, k)]
-    col_target = np.full(k, n / k)
-    chosen: list[np.ndarray] = []
-
-    def search(i: int, col_sums: np.ndarray, image: np.ndarray) -> bool:
-        if i == n:
-            return bool(
-                np.all(np.abs(col_sums - col_target) <= tol)
-                and np.all(np.abs(image - q.weights) <= tol)
-            )
-        for r in rows:
-            new_cols = col_sums + r
-            if np.any(new_cols > col_target + tol):
-                continue
-            new_image = image + p.weights[i] * r
-            if np.any(new_image > q.weights + tol):
-                continue
-            chosen.append(r)
-            if search(i + 1, new_cols, new_image):
-                return True
-            chosen.pop()
-        return False
-
-    if search(0, np.zeros(k), np.zeros(k)):
-        return StochMatrix(np.vstack(chosen))
-    return None
-
-
-def schmidt_number_upper_bound(
-    rho: DensityMatrix, dims: tuple[int, int], trials: int, seed: int
-) -> int:
-    """Least worst-case Schmidt rank over sampled pure-state decompositions.
-
-    Decompositions are unitary remixes of the eigendecomposition (which is
-    always included), so the result upper-bounds the true Schmidt number and
-    is exact on pure states.
-    """
-    da, db = dims
-    if da > 4 or db > 4:
-        raise InvariantViolation(f"dims {dims} exceed the (4, 4) cap")
-    spectrum = eig_hermitian(rho)
-    keep = spectrum.eigenvalues.weights > RANK_TOL
-    weights = spectrum.eigenvalues.weights[keep]
-    vectors = spectrum.eigenvectors[:, keep]
-    r = int(keep.sum())
-    scaled = vectors * np.sqrt(weights)
-
-    def decomposition_rank(mix: np.ndarray) -> int:
-        worst = 0
-        for row in mix:
-            component = scaled @ row
-            norm = np.linalg.norm(component)
-            if norm <= 1e-9:
-                continue
-            psi = BipartitePure(component / norm, dims)
-            worst = max(worst, schmidt_rank(psi))
-        return worst
-
-    best = decomposition_rank(np.eye(r, dtype=complex))
-    for t in range(trials):
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(t))
-        z = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
-        u, _ = np.linalg.qr(z)
-        best = min(best, decomposition_rank(u.T))
     return best
 
 

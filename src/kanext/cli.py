@@ -44,6 +44,7 @@ from .prob import (
     simplex_grid,
 )
 from .quantum import (
+    DIMENSION_CAP,
     BipartitePure,
     DensityMatrix,
     complex_matrix_from_json,
@@ -68,6 +69,14 @@ GRID_STEP_RANGE = (0.01, 0.25)
 # Most ordered grid pairs hlp_agreement will check, one LP solve each; the
 # default grid (length 3, step 0.05) has 53,361.
 HLP_PAIRS_CAP = 60_000
+# Largest verify sizes, checked before any sampling: sample counts, sampled
+# measurement bases, distribution lengths and toy-theory objects.  Each sits
+# well above what the tests, the README and the benchmark use (at most 200
+# samples, 50 bases, length 4 and 12 objects).
+SAMPLES_CAP = 1_000
+BASES_CAP = 1_000
+LENGTH_CAP = 16
+MAX_OBJECTS_CAP = 16
 
 PROPERTIES = (
     "reduction",
@@ -96,17 +105,27 @@ def _text(cfg: dict, key: str) -> str:
     return value
 
 
-def _number(value, key: str, kind: type = int, at_least=None):
+def _number(value, key: str, kind: type = int, at_least=None, at_most=None):
     """``kind(value)`` for the config value under ``key``; a value that is
-    no number (null, a list, an object, text) or is below ``at_least`` is a
-    ConfigError naming the key."""
+    no number (null, a list, an object, text) or lies outside ``[at_least,
+    at_most]`` is a ConfigError naming the key."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from exc
     if at_least is not None and number < at_least:
         raise ConfigError(f"config key {key!r} must be at least {at_least}, got {number}")
+    if at_most is not None and number > at_most:
+        raise ConfigError(f"config key {key!r} must be at most {at_most}, got {number}")
     return number
+
+
+def _samples(cfg: dict, default: int) -> int:
+    return _number(cfg.get("samples", default), "samples", at_least=0, at_most=SAMPLES_CAP)
+
+
+def _length(cfg: dict, key: str, default: int) -> int:
+    return _number(cfg.get(key, default), key, at_least=1, at_most=LENGTH_CAP)
 
 
 def parse_payload(kind: str, data):
@@ -267,8 +286,8 @@ def _shannon_embedding_problem(candidates: tuple[Dist, ...]) -> ExtensionProblem
 
 
 def _verify_reduction(cfg: dict, rng: np.random.Generator) -> dict:
-    samples = _number(cfg.get("samples", 50), "samples", at_least=0)
-    length = _number(cfg.get("length", 3), "length")
+    samples = _samples(cfg, 50)
+    length = _length(cfg, "length", 3)
     dists = tuple(Dist(rng.dirichlet(np.ones(length))) for _ in range(samples))
     problem = _shannon_embedding_problem(dists)
     report = verify_reduction(problem, list(problem.candidates))
@@ -276,11 +295,11 @@ def _verify_reduction(cfg: dict, rng: np.random.Generator) -> dict:
 
 
 def _verify_monotonicity(cfg: dict, rng: np.random.Generator) -> dict:
-    samples = _number(cfg.get("samples", 50), "samples", at_least=0)
+    samples = _samples(cfg, 50)
     theory_id = cfg.get("theory", RAND_UNIFORM)
     registry = default_registry()
     if theory_id == RAND_UNIFORM:
-        length = _number(cfg.get("length", 3), "length")
+        length = _length(cfg, "length", 3)
         step = _grid_step(cfg.get("step", 0.05))
         problem = ExtensionProblem(
             make_monotone("shannon", COVARIANT),
@@ -296,7 +315,7 @@ def _verify_monotonicity(cfg: dict, rng: np.random.Generator) -> dict:
                 (ResourceRef(RAND_UNIFORM, p), ResourceRef(RAND_UNIFORM, q))
             )
     elif theory_id == "qrand_quniform":
-        dim = _number(cfg.get("length", 2), "length")
+        dim = _length(cfg, "length", 2)
         grid = simplex_grid(dim, _grid_step(cfg.get("step", 0.05)))
         problem = _shannon_embedding_problem(tuple(grid))
         pairs = []
@@ -317,8 +336,10 @@ def _verify_monotonicity(cfg: dict, rng: np.random.Generator) -> dict:
 
 
 def _verify_optimality(cfg: dict, rng: np.random.Generator) -> dict:
-    samples = _number(cfg.get("samples", 50), "samples", at_least=0)
-    max_objects = _number(cfg.get("max_objects", 6), "max_objects")
+    samples = _samples(cfg, 50)
+    max_objects = _number(
+        cfg.get("max_objects", 6), "max_objects", at_most=MAX_OBJECTS_CAP
+    )
     violations = []
     for i in range(samples):
         problem, objects, grid = random_toy_problem(rng, max_objects=max_objects)
@@ -353,9 +374,9 @@ def _verify_hlp(cfg: dict, rng: np.random.Generator) -> dict:
 
 
 def _verify_data_processing(cfg: dict, rng: np.random.Generator) -> dict:
-    samples = _number(cfg.get("samples", 200), "samples", at_least=0)
-    length = _number(cfg.get("length", 4), "length")
-    out_length = _number(cfg.get("out_length", 3), "out_length")
+    samples = _samples(cfg, 200)
+    length = _length(cfg, "length", 4)
+    out_length = _length(cfg, "out_length", 3)
     violations = []
     for i in range(samples):
         p = Dist(rng.dirichlet(np.ones(length)))
@@ -377,17 +398,18 @@ def _verify_data_processing(cfg: dict, rng: np.random.Generator) -> dict:
 
 
 def _verify_coincidence(cfg: dict, rng: np.random.Generator) -> dict:
-    samples = _number(cfg.get("samples", 20), "samples", at_least=0)
+    samples = _samples(cfg, 20)
     dims = cfg.get("dims", [2, 3, 4])
     if not isinstance(dims, list) or not dims:
         raise ConfigError("config key 'dims' must be a non-empty list")
-    bases = _number(cfg.get("bases", 50), "bases")
+    dims = [_number(d, "dims", at_least=1, at_most=DIMENSION_CAP) for d in dims]
+    bases = _number(cfg.get("bases", 50), "bases", at_least=1, at_most=BASES_CAP)
     seed = _number(cfg.get("seed", 0), "seed")
     tol = 1e-6
     violations = []
     registry = default_registry()
     for i in range(samples):
-        dim = _number(dims[i % len(dims)], "dims")
+        dim = dims[i % len(dims)]
         rho = random_density(rng, dim)
         spectrum = rho.spectrum.eigenvalues
         problem = ExtensionProblem(

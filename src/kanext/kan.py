@@ -19,6 +19,17 @@ The four rows collapse to one boolean per side,
 hypothesis in the optimality check and the direction of the universal
 property (a competitor G satisfies G <= ext iff ``takes_inf``).
 ``extension`` computes both sides in one sweep over the candidates.
+
+Where the target theory is ordered by majorization, admissibility needs no
+image object.  Between objects of one size, uniform (doubly stochastic)
+maps carry p to q iff p majorizes q (Hardy, Littlewood and Polya 1929),
+and unital channels carry rho to sigma iff the spectrum of rho majorizes
+that of sigma (Uhlmann 1971; Gour et al., Phys. Rep. 583, 2015,
+arXiv:1309.6586).  The spectrum of diag(p) is p sorted, so the diagonal
+embedding's image needs no eigendecomposition either.  An oracle's ``key``
+and a functor's ``map_key`` name these vectors, and the sweep then decides
+every candidate in both directions with one comparison of sorted
+cumulative sums (``prob.majorization_mask``).
 """
 
 from __future__ import annotations
@@ -28,10 +39,11 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .prob import INF, ExtValue, ext_to_json
+from .prob import INF, ExtValue, ext_to_json, majorization_mask
 from .pcat import (
     COVARIANT,
     VALUE_SLACK,
+    Decision,
     MonotoneSpec,
     ReachabilityOracle,
     ResourceRef,
@@ -45,12 +57,17 @@ class EnumerationBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class FunctorMap:
-    """Object map of a functor between theories; free arrows map to free arrows."""
+    """Object map of a functor between theories; free arrows map to free arrows.
+
+    ``map_key``, where given, returns the target oracle's ``key`` of an
+    object's image without building the image.
+    """
 
     name: str
     source_theory: str
     target_theory: str
     map_object: Callable[[ResourceRef], ResourceRef]
+    map_key: Callable[[ResourceRef], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -91,26 +108,70 @@ class ExtensionResult:
         return doc
 
 
+# keyed decisions carry no witness and are exact; index by the verdict
+_KEYED = (Decision(False), Decision(True))
+
+
+def _keys(prob: ExtensionProblem, y: ResourceRef) -> tuple[np.ndarray, np.ndarray] | None:
+    """y's key and the (N, n) matrix of the candidates' image keys, or None
+    unless the oracle and the functor both have keys of one length n."""
+    key, map_key = prob.target_oracle.key, prob.functor.map_key
+    if key is None or map_key is None or not prob.candidates:
+        return None
+    target = key(y)
+    rows = [map_key(x) for x in prob.candidates]
+    if any(len(row) != len(target) for row in rows):
+        return None
+    return target, np.array(rows)
+
+
+def _decisions(prob: ExtensionProblem, y: ResourceRef):
+    """(X, (y -> K(X), K(X) -> y)) in candidate order.  The keyed sweep
+    skips candidates admissible on neither side, whose exact negatives
+    change no bound or flag; the fallback decides every pair."""
+    keys = _keys(prob, y)
+    if keys is None:
+        decide = prob.target_oracle.decide
+        for x in prob.candidates:
+            image = prob.functor.map_object(x)
+            yield x, (decide(y, image), decide(image, y))
+        return
+    target, rows = keys
+    forward = majorization_mask(target, rows)
+    backward = majorization_mask(rows, target)
+    for x, f, b in zip(prob.candidates, forward.tolist(), backward.tolist()):
+        if f or b:
+            yield x, (_KEYED[f], _KEYED[b])
+
+
 def extension(
     prob: ExtensionProblem, y: ResourceRef
 ) -> tuple[ExtensionResult, ExtensionResult]:
     """Minimal and maximal extension at y, in that order, from one sweep.
 
-    Each candidate is mapped once and its monotone value computed at most
-    once; the sweep decides y -> K(X) for the minimal side and K(X) -> y for
-    the maximal side.  Each side's witness is the first candidate that
-    attains its bound, and its exact flag covers its own decisions only.
+    The sweep decides y -> K(X) for the minimal side and K(X) -> y for the
+    maximal side and computes a monotone value at most once per candidate,
+    only where one side admits it.  Each side's witness is the first
+    candidate that attains its bound, and its exact flag covers its own
+    decisions only.
+
+    When the target oracle has a ``key`` and the functor a ``map_key``, and
+    every candidate's key has the length of y's, all decisions come from
+    one sorted-cumsum comparison of y's key against the (N, n) key matrix,
+    and no image is built: at equal size the order is majorization of keys
+    (Hardy-Littlewood-Polya for doubly stochastic maps, Uhlmann for unital
+    channels on spectra; the spectrum of diag(p) is sorted p).  Otherwise,
+    as for unequal lengths and for theories without a key, each candidate
+    is mapped once and the oracle decides each pair.
     """
     covariant = prob.monotone.variance == COVARIANT
     takes_inf = (covariant, not covariant)
     # (value, witness) per side, starting from the empty inf or sup
     best = [(INF if inf else 0.0, None) for inf in takes_inf]
     exact = [prob.candidates_complete] * 2
-    decide = prob.target_oracle.decide
-    for x in prob.candidates:
-        image = prob.functor.map_object(x)
+    for x, decisions in _decisions(prob, y):
         value = None
-        for side, d in enumerate((decide(y, image), decide(image, y))):
+        for side, d in enumerate(decisions):
             if not d.exact:
                 exact[side] = False
             if not d.reachable:

@@ -80,11 +80,18 @@ class ReachabilityOracle:
 
     ``exact`` is the oracle-level claim that every decision is definitive;
     individual decisions may still downgrade themselves via Decision.exact.
+
+    ``key``, where given, is the order key of an object: a weight vector
+    such that, whenever key(a) and key(b) have equal lengths, ``decide(a,
+    b)`` is exact, carries no witness, and says reachable iff key(a)
+    majorizes key(b).  The extension sweep uses it to decide all
+    candidates at once.
     """
 
     theory_id: str
     decide: Callable[[ResourceRef, ResourceRef], Decision]
     exact: bool = True
+    key: Callable[[ResourceRef], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)

@@ -190,14 +190,27 @@ def kl_divergence(p: Dist, q: Dist) -> ExtValue:
     return total
 
 
+def _lorenz_ordinates(weights: np.ndarray) -> np.ndarray:
+    """Partial sums of the increasing rearrangement, along the last axis."""
+    return np.cumsum(np.sort(weights, axis=-1), axis=-1)
+
+
 def lorenz_curve(p: Dist) -> LorenzCurve:
     """Knots (i/n, partial sums) of the increasing rearrangement of p."""
     n = len(p)
-    ordered = np.sort(p.weights)
     x = np.arange(n + 1) / n
-    y = np.concatenate(([0.0], np.cumsum(ordered)))
+    y = np.concatenate(([0.0], _lorenz_ordinates(p.weights)))
     y[-1] = 1.0
     return LorenzCurve(np.column_stack([x, y]))
+
+
+def majorization_mask(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Where q is majorized by p, for weight arrays of one length whose
+    leading axes broadcast: the Lorenz ordinates of p lie on or below those
+    of q at every knot, with ORDER_SLACK.  One row against an (N, n) matrix
+    decides N pairs at once; ``majorizes`` is the single-pair case.
+    """
+    return np.all(_lorenz_ordinates(p) <= _lorenz_ordinates(q) + ORDER_SLACK, axis=-1)
 
 
 def majorizes(p: Dist, q: Dist) -> bool:
@@ -208,9 +221,9 @@ def majorizes(p: Dist, q: Dist) -> bool:
     Lengths are equalized by zero-padding, so both curves share knots i/n.
     """
     n = max(len(p), len(q))
-    a = np.sort(np.concatenate([p.weights, np.zeros(n - len(p))]))
-    b = np.sort(np.concatenate([q.weights, np.zeros(n - len(q))]))
-    return bool(np.all(np.cumsum(a) <= np.cumsum(b) + ORDER_SLACK))
+    a = np.concatenate([p.weights, np.zeros(n - len(p))])
+    b = np.concatenate([q.weights, np.zeros(n - len(q))])
+    return bool(majorization_mask(a, b))
 
 
 def relatively_majorizes(source: tuple[Dist, Dist], target: tuple[Dist, Dist]) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -218,12 +219,21 @@ def stochastic_image_is_free(m: StochMatrix) -> bool:
     return is_unital(embed_stochastic(m))
 
 
+# Order keys (ReachabilityOracle.key) as attribute paths on payloads: at
+# equal lengths, majorization of the distributions decides uniform maps and
+# majorization of the spectra decides unital channels.
+_ORDER_KEYS = {RAND_UNIFORM: "weights", QRAND_QUNIFORM: "spectrum.eigenvalues.weights"}
+
+
 def classical_to_quantum_functor() -> FunctorMap:
+    """Diagonal embedding; its key map is p itself, since the spectrum of
+    diag(p) is p sorted, and majorization ignores order."""
     return FunctorMap(
         "classical_to_quantum",
         RAND_UNIFORM,
         QRAND_QUNIFORM,
         lambda ref: ResourceRef(QRAND_QUNIFORM, embed_classical_payload(ref.payload)),
+        attrgetter("payload.weights"),
     )
 
 
@@ -239,7 +249,9 @@ def classical_to_quantum_pair_functor() -> FunctorMap:
 
 
 def identity_functor(theory_id: str) -> FunctorMap:
-    return FunctorMap("identity", theory_id, theory_id, lambda ref: ref)
+    path = _ORDER_KEYS.get(theory_id)
+    map_key = None if path is None else attrgetter("payload." + path)
+    return FunctorMap("identity", theory_id, theory_id, lambda ref: ref, map_key)
 
 
 @dataclass(frozen=True)
@@ -276,7 +288,17 @@ def _wrap(theory_id: str, fn: Callable, exact: bool) -> ReachabilityOracle:
             )
         return fn(a.payload, b.payload)
 
-    return ReachabilityOracle(theory_id, decide, exact)
+    path = _ORDER_KEYS.get(theory_id)
+    if path is None:
+        return ReachabilityOracle(theory_id, decide, exact)
+    payload_key = attrgetter(path)
+
+    def key(ref: ResourceRef) -> np.ndarray:
+        if ref.theory_id != theory_id:
+            raise ValueError(f"oracle for {theory_id!r} got an object from {ref.theory_id!r}")
+        return payload_key(ref.payload)
+
+    return ReachabilityOracle(theory_id, decide, exact, key)
 
 
 def default_registry() -> TheoryRegistry:

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
+from brute_force import (
+    GridSpec,
+    bf_uniform_map_search,
+    grid_distributions,
+    schmidt_number_upper_bound,
+)
 from conftest import bell_state, ghz3_state, random_pure
 from kanext.bf_oracle import (
-    GridSpec,
     ToyTheory,
     bf_maximal_extension,
     bf_minimal_extension,
-    bf_uniform_map_search,
-    grid_distributions,
     random_preorder,
     random_toy_problem,
-    schmidt_number_upper_bound,
 )
 from kanext.kan import extension
 from kanext.prob import (

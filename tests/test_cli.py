@@ -438,6 +438,49 @@ class TestUsageErrors:
             run_main(tmp_path, {"command": "verify", "property": "hlp_agreement"})
 
     @pytest.mark.parametrize(
+        "prop,extra,key,cap",
+        [
+            ("reduction", {}, "samples", cli.SAMPLES_CAP),
+            ("monotonicity", {}, "samples", cli.SAMPLES_CAP),
+            ("optimality", {}, "samples", cli.SAMPLES_CAP),
+            ("data_processing", {}, "samples", cli.SAMPLES_CAP),
+            ("coincidence", {}, "samples", cli.SAMPLES_CAP),
+            ("reduction", {}, "length", cli.LENGTH_CAP),
+            ("monotonicity", {}, "length", cli.LENGTH_CAP),
+            ("monotonicity", {"theory": "qrand_quniform", "step": 0.25}, "length",
+             cli.LENGTH_CAP),
+            ("data_processing", {}, "length", cli.LENGTH_CAP),
+            ("data_processing", {}, "out_length", cli.LENGTH_CAP),
+            ("coincidence", {}, "bases", cli.BASES_CAP),
+            ("coincidence", {}, "dims", cli.DIMENSION_CAP),
+            ("optimality", {}, "max_objects", cli.MAX_OBJECTS_CAP),
+        ],
+    )
+    def test_verify_sizes_are_capped_before_sampling(
+        self, tmp_path, capsys, monkeypatch, prop, extra, key, cap
+    ):
+        class Sampled(Exception):
+            pass
+
+        def no_sampling(*args, **kwargs):
+            raise Sampled
+
+        for name in ("Dist", "random_density", "random_toy_problem", "simplex_grid"):
+            monkeypatch.setattr(cli, name, no_sampling)
+
+        def run_at(limit):
+            # one sample, so only the first dims entry is ever drawn
+            value = [2, limit] if key == "dims" else limit
+            cfg = {"command": "verify", "property": prop, "samples": 1, **extra, key: value}
+            return run_main(tmp_path, cfg)
+
+        assert run_at(cap + 1) == (2, "")
+        assert_one_error_line(capsys.readouterr().err)
+        # at the cap the config is admitted, so it reaches the first sampler
+        with pytest.raises(Sampled):
+            run_at(cap)
+
+    @pytest.mark.parametrize(
         "cfg",
         [
             {"command": "extend", "theory": "rand_uniform", "functor": "identity",

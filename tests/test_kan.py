@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -63,6 +64,25 @@ def embedding_problem(candidates, complete=False, variance=COVARIANT):
         classical_refs(candidates),
         candidates_complete=complete,
     )
+
+
+def per_pair(prob):
+    """The same problem with the functor's key map stripped, so that the
+    sweep falls back to one oracle decision per pair."""
+    return dataclasses.replace(prob, functor=dataclasses.replace(prob.functor, map_key=None))
+
+
+def counting_decide(prob):
+    """The same problem with every oracle decision recorded in a list."""
+    calls = []
+    oracle = prob.target_oracle
+
+    def decide(a, b):
+        calls.append((a, b))
+        return oracle.decide(a, b)
+
+    counted = dataclasses.replace(oracle, decide=decide)
+    return dataclasses.replace(prob, target_oracle=counted), calls
 
 
 class TestEmptyDiagramConstants:
@@ -227,10 +247,84 @@ class TestSinglePass:
             monkeypatch.setattr(module, "eig_hermitian", counting, raising=False)
         candidates = simplex_grid(3, 0.25)
         y = ResourceRef(QRAND_QUNIFORM, random_density(rng, 3))
-        extension(embedding_problem(candidates), y)
-        # the target and each candidate's image, once each
+        prob, decided = counting_decide(embedding_problem(candidates))
+        extension(prob, y)
+        # the keyed sweep decomposes the target alone and asks the oracle nothing
+        assert sum(calls.values()) == 1
+        assert calls[id(y.payload)] == 1
+        assert decided == []
+        # the per-pair fallback adds each candidate's image, once each
+        extension(per_pair(prob), y)
         assert sum(calls.values()) == len(candidates) + 1
         assert calls[id(y.payload)] == 1
+        assert len(decided) == 2 * len(candidates)
+
+
+class TestKeyedSweep:
+    """The keyed sweep and the per-pair fallback agree on every field."""
+
+    @staticmethod
+    def check(prob, targets, keyed=True):
+        variants = [
+            dataclasses.replace(prob, monotone=dataclasses.replace(prob.monotone, variance=v))
+            for v in (COVARIANT, CONTRAVARIANT)
+        ]
+        for variant in variants:
+            fast, fast_calls = counting_decide(variant)
+            slow, slow_calls = counting_decide(per_pair(variant))
+            for y in targets:
+                for a, b in zip(extension(fast, y), extension(slow, y)):
+                    assert (a.value, a.exact, a.examined) == (b.value, b.exact, b.examined)
+                    assert (a.witness is None) == (b.witness is None)
+                    if a.witness is not None:
+                        assert a.witness[0] is b.witness[0]
+                        assert a.witness[1] == b.witness[1]
+            assert len(slow_calls) == 2 * len(prob.candidates) * len(targets)
+            assert len(fast_calls) == (0 if keyed else len(slow_calls))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_wishart_targets(self, rng, d):
+        prob = embedding_problem(simplex_grid(d, 0.1))
+        targets = [ResourceRef(QRAND_QUNIFORM, random_density(rng, d)) for _ in range(6)]
+        self.check(prob, targets)
+
+    def test_embedded_grid_targets_tie_with_candidates(self, rng):
+        grid = simplex_grid(4, 0.25)
+        prob = embedding_problem(grid)
+        points = [grid[i].weights for i in rng.choice(len(grid), 8, replace=False)]
+        # each point and a permutation of it sit among the candidates
+        targets = [
+            ResourceRef(QRAND_QUNIFORM, embed_classical(Dist(w)))
+            for p in points
+            for w in (p, rng.permutation(p))
+        ]
+        self.check(prob, targets)
+
+    def test_identity_on_rand_uniform(self, rng):
+        grid = simplex_grid(3, 0.1)
+        prob = shannon_problem(COVARIANT, grid)
+        targets = [ResourceRef(RAND_UNIFORM, p) for p in grid[::7]]
+        targets += [ResourceRef(RAND_UNIFORM, Dist(rng.dirichlet(np.ones(3)))) for _ in range(5)]
+        self.check(prob, targets)
+
+    def test_identity_on_qrand_quniform(self, rng):
+        states = [random_density(rng, 3) for _ in range(20)]
+        states += [embed_classical(p) for p in simplex_grid(3, 0.25)]
+        prob = ExtensionProblem(
+            make_monotone("spectral_entropy", COVARIANT),
+            identity_functor(QRAND_QUNIFORM),
+            REGISTRY.oracle(QRAND_QUNIFORM),
+            tuple(ResourceRef(QRAND_QUNIFORM, s) for s in states),
+        )
+        targets = [ResourceRef(QRAND_QUNIFORM, s) for s in states[::4]]
+        self.check(prob, targets)
+
+    def test_unequal_lengths_fall_back(self, rng):
+        # one length-4 candidate among length-3 ones: no key matrix is built
+        candidates = simplex_grid(3, 0.25) + [Dist([0.4, 0.3, 0.2, 0.1])]
+        prob = embedding_problem(candidates)
+        targets = [ResourceRef(QRAND_QUNIFORM, random_density(rng, 4)) for _ in range(3)]
+        self.check(prob, targets, keyed=False)
 
 
 class TestGridRefinement:
