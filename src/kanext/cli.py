@@ -77,6 +77,9 @@ SAMPLES_CAP = 1_000
 BASES_CAP = 1_000
 LENGTH_CAP = 16
 MAX_OBJECTS_CAP = 16
+# Most that either extension at a state may differ from its von Neumann
+# entropy in the coincidence check.
+COINCIDENCE_TOL = 1e-6
 
 PROPERTIES = (
     "reduction",
@@ -405,7 +408,6 @@ def _verify_coincidence(cfg: dict, rng: np.random.Generator) -> dict:
     dims = [_number(d, "dims", at_least=1, at_most=DIMENSION_CAP) for d in dims]
     bases = _number(cfg.get("bases", 50), "bases", at_least=1, at_most=BASES_CAP)
     seed = _number(cfg.get("seed", 0), "seed")
-    tol = 1e-6
     violations = []
     registry = default_registry()
     for i in range(samples):
@@ -423,7 +425,7 @@ def _verify_coincidence(cfg: dict, rng: np.random.Generator) -> dict:
         reference = spectral_entropy(rho)
         lo, hi = (side.value for side in extension(problem, y))
         sampled = measurement_entropy_search(rho, bases, seed + i)
-        if abs(lo - reference) > tol or abs(hi - reference) > tol:
+        if abs(lo - reference) > COINCIDENCE_TOL or abs(hi - reference) > COINCIDENCE_TOL:
             violations.append({"instance": i, "minimal": lo, "maximal": hi,
                                "reference": reference})
         elif sampled < reference - VALUE_SLACK:

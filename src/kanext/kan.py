@@ -20,16 +20,21 @@ hypothesis in the optimality check and the direction of the universal
 property (a competitor G satisfies G <= ext iff ``takes_inf``).
 ``extension`` computes both sides in one sweep over the candidates.
 
-Where the target theory is ordered by majorization, admissibility needs no
-image object.  Between objects of one size, uniform (doubly stochastic)
-maps carry p to q iff p majorizes q (Hardy, Littlewood and Polya 1929),
-and unital channels carry rho to sigma iff the spectrum of rho majorizes
-that of sigma (Uhlmann 1971; Gour et al., Phys. Rep. 583, 2015,
-arXiv:1309.6586).  The spectrum of diag(p) is p sorted, so the diagonal
-embedding's image needs no eigendecomposition either.  An oracle's ``key``
-and a functor's ``map_key`` name these vectors, and the sweep then decides
-every candidate in both directions with one comparison of sorted
-cumulative sums (``prob.majorization_mask``).
+Where the target theory is ordered by relative majorization of
+dichotomies, admissibility needs no image object.  A joint stochastic map
+carries a pair (p, q) to (p2, q2) iff Blackwell's hockey-stick test holds
+(Blackwell 1953; Renes, J. Math. Phys. 57, 2016, arXiv:1510.03695).  A
+uniform map from length n to length k is a stochastic map carrying u_n to
+u_k, so it carries p to q iff (p, u_n) relatively majorizes (q, u_k) (Gour
+et al., Phys. Rep. 583, 2015, arXiv:1309.6586); at equal lengths this is
+majorization (Hardy, Littlewood and Polya 1929).  Unital channels between
+states of one dimension carry rho to sigma iff the spectrum of rho
+majorizes that of sigma (Uhlmann 1971), and the spectrum of diag(p) is p
+sorted.  An oracle's ``key`` names the dichotomy (p, q) of an object and a
+functor's ``map_key`` those of the candidates' images, and the sweep then
+decides every candidate in both directions with one batched
+``prob.relative_majorization_mask``, the sorted-cumsum comparison where
+every q is uniform and the lengths agree.
 """
 
 from __future__ import annotations
@@ -39,9 +44,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .prob import INF, ExtValue, ext_to_json, majorization_mask
+from .prob import INF, ExtValue, ext_to_json, relative_majorization_mask
 from .pcat import (
     COVARIANT,
+    IDENTITY_TOL,
     VALUE_SLACK,
     Decision,
     MonotoneSpec,
@@ -59,15 +65,19 @@ class EnumerationBudgetError(ValueError):
 class FunctorMap:
     """Object map of a functor between theories; free arrows map to free arrows.
 
-    ``map_key``, where given, returns the target oracle's ``key`` of an
-    object's image without building the image.
+    ``map_key``, where given, maps the candidate tuple to the p and q of
+    its images' target-oracle keys (``pcat.Dichotomy``) as (N, n) arrays,
+    or q as one length-n row that every image shares, without building the
+    images; or to None unless those keys have one length.  Where the
+    target's key names an ``identity``, the image keys are written in its
+    fixed basis.
     """
 
     name: str
     source_theory: str
     target_theory: str
     map_object: Callable[[ResourceRef], ResourceRef]
-    map_key: Callable[[ResourceRef], np.ndarray] | None = None
+    map_key: Callable[[tuple], tuple[np.ndarray, np.ndarray] | None] | None = None
 
 
 @dataclass(frozen=True)
@@ -108,27 +118,30 @@ class ExtensionResult:
         return doc
 
 
-# keyed decisions carry no witness and are exact; index by the verdict
-_KEYED = (Decision(False), Decision(True))
-
-
-def _keys(prob: ExtensionProblem, y: ResourceRef) -> tuple[np.ndarray, np.ndarray] | None:
-    """y's key and the (N, n) matrix of the candidates' image keys, or None
-    unless the oracle and the functor both have keys of one length n."""
+def _keys(prob: ExtensionProblem, y: ResourceRef):
+    """y's key and the candidates' image keys p and q, stacked, or None
+    unless the oracle and the functor both give keys, the image keys have
+    one length, and y's key decides keys of that length."""
     key, map_key = prob.target_oracle.key, prob.functor.map_key
     if key is None or map_key is None or not prob.candidates:
         return None
     target = key(y)
-    rows = [map_key(x) for x in prob.candidates]
-    if any(len(row) != len(target) for row in rows):
+    if target is None:
         return None
-    return target, np.array(rows)
+    images = map_key(prob.candidates)
+    if images is None:
+        return None
+    p, q = images
+    if p.shape[-1] != len(target.p) and not target.across_lengths:
+        return None
+    return target, p, q
 
 
 def _decisions(prob: ExtensionProblem, y: ResourceRef):
     """(X, (y -> K(X), K(X) -> y)) in candidate order.  The keyed sweep
-    skips candidates admissible on neither side, whose exact negatives
-    change no bound or flag; the fallback decides every pair."""
+    skips candidates admissible on neither side when its negatives are
+    exact, since they change no bound or flag; the fallback decides every
+    pair."""
     keys = _keys(prob, y)
     if keys is None:
         decide = prob.target_oracle.decide
@@ -136,12 +149,24 @@ def _decisions(prob: ExtensionProblem, y: ResourceRef):
             image = prob.functor.map_object(x)
             yield x, (decide(y, image), decide(image, y))
         return
-    target, rows = keys
-    forward = majorization_mask(target, rows)
-    backward = majorization_mask(rows, target)
-    for x, f, b in zip(prob.candidates, forward.tolist(), backward.tolist()):
-        if f or b:
-            yield x, (_KEYED[f], _KEYED[b])
+    target, p, q = keys
+    forward = relative_majorization_mask(target.p, target.q, p, q)
+    backward = relative_majorization_mask(p, q, target.p, target.q)
+    same = [False] * len(p)
+    if target.identity is not None and p.shape[-1] == len(target.p):
+        same = np.all(np.abs(p - target.p) <= IDENTITY_TOL, axis=-1) & np.all(
+            np.abs(q - target.q) <= IDENTITY_TOL, axis=-1
+        )
+        same = same.tolist()
+    # indexed by the verdict: positives are exact and carry no witness,
+    # negatives are as exact as the oracle
+    verdicts = (Decision(False, exact=prob.target_oracle.exact), Decision(True))
+    identity = Decision(True, target.identity)
+    for x, f, b, s in zip(prob.candidates, forward.tolist(), backward.tolist(), same):
+        if s:
+            yield x, (identity, identity)
+        elif f or b or not verdicts[0].exact:
+            yield x, (verdicts[f], verdicts[b])
 
 
 def extension(
@@ -155,14 +180,18 @@ def extension(
     candidate that attains its bound, and its exact flag covers its own
     decisions only.
 
-    When the target oracle has a ``key`` and the functor a ``map_key``, and
-    every candidate's key has the length of y's, all decisions come from
-    one sorted-cumsum comparison of y's key against the (N, n) key matrix,
-    and no image is built: at equal size the order is majorization of keys
-    (Hardy-Littlewood-Polya for doubly stochastic maps, Uhlmann for unital
-    channels on spectra; the spectrum of diag(p) is sorted p).  Otherwise,
-    as for unequal lengths and for theories without a key, each candidate
-    is mapped once and the oracle decides each pair.
+    When the target oracle has a ``key`` for y and the functor a
+    ``map_key`` for the candidates, the image keys have one length, and y's
+    key decides keys of that length, no image is built and no pair is
+    handed to the oracle: all decisions come from two relative-majorization
+    masks of y's dichotomy key against the (N, n) image keys, one per
+    direction (Blackwell's test; Renes, arXiv:1510.03695; Gour et al.,
+    arXiv:1309.6586).  Where y's key names an ``identity`` witness, an
+    image whose key agrees with y's within IDENTITY_TOL is y itself and
+    takes that witness both ways.  Positives are exact; negatives are as
+    exact as the oracle.  Otherwise, as for mixed lengths, targets without
+    a key and theories without keys, each candidate is mapped once and the
+    oracle decides each pair.
     """
     covariant = prob.monotone.variance == COVARIANT
     takes_inf = (covariant, not covariant)

@@ -19,6 +19,9 @@ from .prob import DimensionMismatch, Dist, StochMatrix
 FEAS_TOL = 1e-9
 # Reduced-cost / pivot-element threshold inside the simplex.
 _PIVOT_TOL = 1e-11
+# Ratio-test values within this of the least one tie; Bland's rule then
+# picks the leaving row.
+_RATIO_TIE_TOL = 1e-12
 # Equality tolerance for the deterministic-map partition search.
 DETERMINISTIC_TOL = 1e-10
 # Function enumeration is |Y|^|X|; keep |X| at desk scale.
@@ -106,7 +109,7 @@ def solve_feasibility(problem: LpFeasibility) -> FeasResult:
         if not valid.any():
             raise SimplexIterationError("unbounded pivot column in phase 1")
         ratios = np.where(valid, t[:m, -1] / np.where(valid, col, 1.0), np.inf)
-        tied = ratios <= ratios.min() + 1e-12
+        tied = ratios <= ratios.min() + _RATIO_TIE_TOL
         leave = int(np.where(tied, basis, n + m).argmin())  # Bland tie-break
         t[leave] /= t[leave, enter]
         factor = t[:, enter].copy()

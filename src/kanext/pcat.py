@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -21,6 +21,9 @@ CONTRAVARIANT = "contravariant"
 
 # Slack for order checks on evaluated monotones.
 VALUE_SLACK = 1e-9
+# Objects whose entries all agree within this are one object, joined by the
+# identity arrow.
+IDENTITY_TOL = 1e-10
 
 
 class OracleSoundnessError(RuntimeError):
@@ -74,6 +77,23 @@ class Decision:
     exact: bool = True
 
 
+class Dichotomy(NamedTuple):
+    """The order key of an object: weight arrays p and q of one length.
+
+    ``identity``, where given, is the witness ``decide`` reports between
+    two objects whose keys both name it and agree entry by entry within
+    IDENTITY_TOL; such keys are written in one fixed basis, so that
+    agreement means the objects are one.  ``across_lengths`` is False where
+    keys of unequal lengths do not decide reachability exactly.  The
+    extension sweep reads both from the target's key.
+    """
+
+    p: np.ndarray
+    q: np.ndarray
+    identity: Any = None
+    across_lengths: bool = True
+
+
 @dataclass(frozen=True)
 class ReachabilityOracle:
     """Free-reachability decider for one theory.
@@ -81,17 +101,20 @@ class ReachabilityOracle:
     ``exact`` is the oracle-level claim that every decision is definitive;
     individual decisions may still downgrade themselves via Decision.exact.
 
-    ``key``, where given, is the order key of an object: a weight vector
-    such that, whenever key(a) and key(b) have equal lengths, ``decide(a,
-    b)`` is exact, carries no witness, and says reachable iff key(a)
-    majorizes key(b).  The extension sweep uses it to decide all
-    candidates at once.
+    ``key``, where given, maps an object to its ``Dichotomy``, or to None
+    where it has none.  For objects a and b with keys ka and kb (of equal
+    lengths, or of any lengths where ``kb.across_lengths``), ``decide(a,
+    b)`` says reachable iff one stochastic matrix carries ka.p to kb.p and
+    ka.q to kb.q (relative majorization; Blackwell 1953).  A positive is
+    exact and carries no witness, or the keys' ``identity`` where they
+    agree; a negative is exact iff the oracle is.  The extension sweep uses
+    it to decide all candidates at once.
     """
 
     theory_id: str
     decide: Callable[[ResourceRef, ResourceRef], Decision]
     exact: bool = True
-    key: Callable[[ResourceRef], np.ndarray] | None = None
+    key: Callable[[ResourceRef], Dichotomy | None] | None = None
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement, pairwise
 
 import numpy as np
@@ -23,8 +24,19 @@ NORMALIZATION_TOL = 1e-9
 # Entry/row-sum checks after repair.
 STOCHASTIC_TOL = 1e-12
 # Slack for ordinate comparisons in majorization and relative majorization
-# (covers cumsum and hockey-stick summation error, n <= 64).
+# (covers cumsum and hockey-stick summation error, n <= 64).  It is tighter
+# than lp.FEAS_TOL (1e-9): it bounds the rounding of one closed-form sum of
+# at most 2n products of weights, while FEAS_TOL bounds the residual of a
+# simplex run whose pivots compound their rounding.  The LP cross-checks in
+# the tests nudge images by 1e-7 to 1e-3, far beyond both tolerances.
 ORDER_SLACK = 1e-10
+# Lorenz knots must sit within this of the corners: x at 0 and 1, y at 0.
+KNOT_TOL = 1e-12
+# A grid step divides 1 when 1/step times step is within this of 1.
+STEP_TOL = 1e-12
+# Most entries of one (rows, n + k, n + k) temporary of a batched
+# relative-majorization test; larger batches are decided in row chunks.
+MASK_CHUNK_ENTRIES = 1 << 18
 # Most points simplex_grid will build; the largest grid the tests sweep is
 # length 5 at step 0.05 (10,626 points).
 GRID_POINTS_CAP = 20_000
@@ -149,9 +161,10 @@ class LorenzCurve:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise InvariantViolation(f"expected (k, 2) points, got shape {pts.shape}")
-        if not (abs(pts[0, 0]) < 1e-12 and abs(pts[0, 1]) < 1e-12):
+        if not (abs(pts[0, 0]) < KNOT_TOL and abs(pts[0, 1]) < KNOT_TOL):
             raise InvariantViolation("curve must start at (0, 0)")
-        if not (abs(pts[-1, 0] - 1) < 1e-12 and abs(pts[-1, 1] - 1) < 1e-9):
+        # the last ordinate is the total weight
+        if not (abs(pts[-1, 0] - 1) < KNOT_TOL and abs(pts[-1, 1] - 1) < NORMALIZATION_TOL):
             raise InvariantViolation("curve must end at (1, 1)")
         if np.any(np.diff(pts[:, 0]) <= 0):
             raise InvariantViolation("x knots must be strictly increasing")
@@ -210,7 +223,7 @@ def majorization_mask(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     of q at every knot, with ORDER_SLACK.  One row against an (N, n) matrix
     decides N pairs at once; ``majorizes`` is the single-pair case.
     """
-    return np.all(_lorenz_ordinates(p) <= _lorenz_ordinates(q) + ORDER_SLACK, axis=-1)
+    return (_lorenz_ordinates(p) <= _lorenz_ordinates(q) + ORDER_SLACK).all(axis=-1)
 
 
 def majorizes(p: Dist, q: Dist) -> bool:
@@ -226,38 +239,92 @@ def majorizes(p: Dist, q: Dist) -> bool:
     return bool(majorization_mask(a, b))
 
 
-def relatively_majorizes(source: tuple[Dist, Dist], target: tuple[Dist, Dist]) -> bool:
-    """True iff one stochastic matrix M carries p to p2 and q to q2.
+def _uniform_rows(q: np.ndarray) -> bool:
+    """True iff every row of q (along the last axis) is constant."""
+    return bool((q == q[..., :1]).all())
+
+
+@lru_cache(maxsize=64)
+def _signs(n: int, k: int) -> np.ndarray:
+    """+1 on a source pair's n entries, -1 on a target pair's k entries."""
+    sign = np.repeat((1.0, -1.0), (n, k))
+    sign.setflags(write=False)
+    return sign
+
+
+def _hockey_stick_test(p, q, p2, q2) -> np.ndarray:
+    """Blackwell's test on pairs of one leading shape.
+
+    Both pairs sit side by side, and ``_signs`` turns a sum over them into
+    E_t(p||q) - E_t(p2||q2).  Every entry is a breakpoint t = a/b: the
+    (a, b) row of ``d - d^T`` holds b x_j - a y_j.  At a dead one (b = 0)
+    both sides are 0, so the test there passes by itself.  The sums run
+    along the last axis of fresh arrays, so a row's verdict does not depend
+    on how many rows are decided with it.
+    """
+    sign = _signs(p.shape[-1], p2.shape[-1])
+    x = np.concatenate((p, p2), axis=-1)
+    y = np.concatenate((q, q2), axis=-1)
+    d = y[..., :, None] * x[..., None, :]
+    h = d - d.swapaxes(-1, -2)
+    gap = (np.maximum(h, 0.0, out=h) * sign).sum(axis=-1)
+    return (gap >= -ORDER_SLACK * y).all(axis=-1)
+
+
+def relative_majorization_mask(
+    p: np.ndarray, q: np.ndarray, p2: np.ndarray, q2: np.ndarray
+) -> np.ndarray:
+    """Where one stochastic matrix carries p to p2 and q to q2.
+
+    p and q share a last-axis length n, p2 and q2 a length k; the leading
+    axes broadcast, so an (N, n) batch is decided against one length-k pair
+    in either direction by one call.  ``relatively_majorizes`` is the
+    single-pair case.
 
     Blackwell's theorem for dichotomies (Blackwell 1953; Renes, J. Math.
     Phys. 57, 2016, arXiv:1510.03695): such an M exists iff for every t >= 0
     the hockey-stick value E_t(p||q) = sum_i (p_i - t q_i)_+ is at least
     E_t(p2||q2).  Both sides equal 1 at t = 0 and are piecewise linear in t,
-    with breakpoints p_i/q_i (q_i > 0) and p2_j/q2_j (q2_j > 0); beyond the
-    last one each side is constant, sum_{q_i = 0} p_i.  So the breakpoints
-    and that limit decide.  A breakpoint t = a/b is evaluated as
+    with breakpoints p_i/q_i (q_i > 0) and p2_j/q2_j (q2_j > 0); from the
+    last one on both sides are constant at their limits sum_{q_i = 0} p_i.
+    So the breakpoints decide.  A breakpoint t = a/b is evaluated as
     b E_t = sum_i (b p_i - a q_i)_+, which divides by nothing.  Each
     comparison allows ORDER_SLACK on E_t.
+
+    With n = k and every q row uniform this is majorization of p over p2
+    (a doubly stochastic map; Hardy, Littlewood and Polya 1929), decided by
+    the sorted-cumsum ``majorization_mask`` instead.
+    """
+    n, k = p.shape[-1], p2.shape[-1]
+    if q.shape[-1] != n:
+        raise DimensionMismatch("pair components must share a length")
+    if q2.shape[-1] != k:
+        raise DimensionMismatch("target components must share a length")
+    if n == k and _uniform_rows(q) and _uniform_rows(q2):
+        return majorization_mask(p, p2)
+    if p.ndim == q.ndim == p2.ndim == q2.ndim == 1:
+        return _hockey_stick_test(p, q, p2, q2)
+    lead = np.broadcast_shapes(p.shape[:-1], q.shape[:-1], p2.shape[:-1], q2.shape[:-1])
+    flat = [np.broadcast_to(a, lead + a.shape[-1:]).reshape(-1, a.shape[-1])
+            for a in (p, q, p2, q2)]
+    step = max(1, MASK_CHUNK_ENTRIES // (n + k) ** 2)
+    chunks = [
+        _hockey_stick_test(*(a[i:i + step] for a in flat))
+        for i in range(0, len(flat[0]), step)
+    ]
+    return np.concatenate([np.zeros(0, bool), *chunks]).reshape(lead)
+
+
+def relatively_majorizes(source: tuple[Dist, Dist], target: tuple[Dist, Dist]) -> bool:
+    """True iff one stochastic matrix M carries p to p2 and q to q2
+    (``relative_majorization_mask`` on the weights).
 
     A uniform map from length n to length k is a stochastic map carrying
     u_n to u_k, so pairs (p, u_n) -> (q, u_k) decide uniform-map
     reachability (Gour et al., Phys. Rep. 583, 2015, arXiv:1309.6586).
     """
     (p, q), (p2, q2) = source, target
-    if len(p) != len(q):
-        raise DimensionMismatch("pair components must share a length")
-    if len(p2) != len(q2):
-        raise DimensionMismatch("target components must share a length")
-    # both pairs side by side; sign turns a sum over them into lhs - rhs
-    x = np.concatenate((p.weights, p2.weights))
-    y = np.concatenate((q.weights, q2.weights))
-    sign = np.repeat((1.0, -1.0), (len(p), len(p2)))
-    if (sign * x)[y == 0].sum() < -ORDER_SLACK:
-        return False
-    live = y > 0
-    a, b = x[live, None], y[live, None]
-    gap = np.maximum(b * x - a * y, 0.0) @ sign
-    return bool(np.all(gap >= -ORDER_SLACK * b[:, 0]))
+    return bool(relative_majorization_mask(p.weights, q.weights, p2.weights, q2.weights))
 
 
 def apply(p: Dist, m: StochMatrix) -> Dist:
@@ -290,7 +357,7 @@ def simplex_grid(length: int, step: float) -> list[Dist]:
     before any point is built.
     """
     units = round(1.0 / step)
-    if abs(units * step - 1.0) > 1e-12:
+    if abs(units * step - 1.0) > STEP_TOL:
         raise InvariantViolation(f"step {step} does not divide 1")
     if length < 1:
         raise GridSizeError(f"grid length {length} must be at least 1")

@@ -30,6 +30,8 @@ COMPLETENESS_TOL = 1e-9
 UNITAL_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
 RANK_TOL = 1e-8
+# A pure state vector's norm may differ from 1 by this much.
+NORM_TOL = 1e-10
 DIMENSION_CAP = 16
 
 
@@ -133,7 +135,7 @@ class BipartitePure:
         da, db = self.dims
         if v.size != da * db:
             raise InvariantViolation(f"vector length {v.size} != {da} * {db}")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
             raise InvariantViolation("state vector is not normalized")
         v.setflags(write=False)
         object.__setattr__(self, "state_vector", v)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -26,7 +25,9 @@ from .lp import (
     exists_uniform_map,
 )
 from .pcat import (
+    IDENTITY_TOL,
     Decision,
+    Dichotomy,
     MonotoneSpec,
     ReachabilityOracle,
     ResourceRef,
@@ -35,7 +36,6 @@ from .prob import (
     Dist,
     StochMatrix,
     kl_divergence,
-    majorizes,
     relatively_majorizes,
     shannon_entropy,
 )
@@ -58,6 +58,14 @@ CDISTINGUISH = "cdistinguish"
 DISTINGUISH_RESTRICTED = "distinguish_restricted"
 PUREBIP_LOCC = "purebip_locc"
 
+# Two matrices commute when no entry of their commutator exceeds this.
+COMMUTATOR_TOL = 1e-10
+# Eigenvalues within this of each other form one degenerate block, in which
+# a joint eigenbasis diagonalizes the second matrix.
+EIGENVALUE_GROUP_TOL = 1e-8
+# What distinguish_restricted reports for a pair that is the target itself.
+IDENTITY_WITNESS = "identity"
+
 
 def rand_detmn_oracle(p: Dist, q: Dist) -> Decision:
     """A free arrow exists iff some function on outcomes carries p to q."""
@@ -72,11 +80,9 @@ def _uniform(n: int) -> Dist:
 
 
 def rand_uniform_oracle(p: Dist, q: Dist) -> Decision:
-    """Majorization decides equal lengths; unequal lengths compare the pairs
-    (p, u_n) and (q, u_k) by relative majorization, since a uniform map is
-    a stochastic map carrying u_n to u_k.  Neither builds a witness."""
-    if len(p) == len(q):
-        return Decision(majorizes(p, q), None, exact=True)
+    """A uniform map is a stochastic map carrying u_n to u_k, so relative
+    majorization of (p, u_n) over (q, u_k) decides; at equal lengths that
+    is majorization of p over q.  No witness is built."""
     reachable = relatively_majorizes((p, _uniform(len(p))), (q, _uniform(len(q))))
     return Decision(reachable, None, exact=True)
 
@@ -133,14 +139,14 @@ def purebip_locc_oracle(phi: BipartitePure, psi: BipartitePure) -> Decision:
 
 def _common_eigenbasis(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """A basis diagonalizing both matrices, or None if they do not commute."""
-    if np.max(np.abs(a @ b - b @ a)) > 1e-10:
+    if np.max(np.abs(a @ b - b @ a)) > COMMUTATOR_TOL:
         return None
     vals, vecs = np.linalg.eigh(a)
     basis = vecs.astype(complex).copy()
     i = 0
     while i < len(vals):
         j = i
-        while j < len(vals) and vals[j] - vals[i] <= 1e-8:
+        while j < len(vals) and vals[j] - vals[i] <= EIGENVALUE_GROUP_TOL:
             j += 1
         if j - i > 1:
             block = basis[:, i:j]
@@ -184,11 +190,11 @@ def distinguish_restricted_oracle(
     rho2, sigma2 = target
     if rho.dim == rho2.dim:
         same = (
-            np.max(np.abs(rho.entries - rho2.entries)) <= 1e-10
-            and np.max(np.abs(sigma.entries - sigma2.entries)) <= 1e-10
+            np.max(np.abs(rho.entries - rho2.entries)) <= IDENTITY_TOL
+            and np.max(np.abs(sigma.entries - sigma2.entries)) <= IDENTITY_TOL
         )
         if same:
-            return Decision(True, "identity", exact=True)
+            return Decision(True, IDENTITY_WITNESS, exact=True)
     classical = _joint_outcomes(source, target)
     if classical is not None and relatively_majorizes(*classical):
         return Decision(True, None, exact=True)
@@ -219,25 +225,86 @@ def stochastic_image_is_free(m: StochMatrix) -> bool:
     return is_unital(embed_stochastic(m))
 
 
-# Order keys (ReachabilityOracle.key) as attribute paths on payloads: at
-# equal lengths, majorization of the distributions decides uniform maps and
-# majorization of the spectra decides unital channels.
-_ORDER_KEYS = {RAND_UNIFORM: "weights", QRAND_QUNIFORM: "spectrum.eigenvalues.weights"}
+def _uniform_key(p: Dist) -> Dichotomy:
+    """(p, u_n): uniform maps are the stochastic maps carrying u_n to u_k."""
+    return Dichotomy(p.weights, _uniform(len(p)).weights)
+
+
+def _spectrum_key(rho: DensityMatrix) -> Dichotomy:
+    """(spectrum, u_d).  At equal dimensions majorization of spectra decides
+    unital channels (Uhlmann 1971); across dimensions the oracle's decision
+    is inexact, so these keys decide equal dimensions only."""
+    spectrum = rho.spectrum.eigenvalues
+    return Dichotomy(spectrum.weights, _uniform(len(spectrum)).weights, across_lengths=False)
+
+
+def _off_diagonal(m: np.ndarray) -> float:
+    """The largest off-diagonal entry of m in absolute value."""
+    return float(np.max(np.abs(m - np.diag(np.diagonal(m)))))
+
+
+def _density_pair_key(pair: tuple[DensityMatrix, DensityMatrix]) -> Dichotomy | None:
+    """Both states measured in a joint eigenbasis, or None unless they
+    commute.  A pair diagonal to within IDENTITY_TOL is measured in the
+    standard basis, where keys that agree mean equal pairs: then the key
+    names the identity witness, as the oracle's shortcut does."""
+    rho, sigma = pair
+    basis = _common_eigenbasis(rho.entries, sigma.entries)
+    if basis is None:
+        return None
+    diagonal = max(_off_diagonal(rho.entries), _off_diagonal(sigma.entries)) <= IDENTITY_TOL
+    if diagonal:
+        basis = np.eye(rho.dim)
+    p, q = basis_outcomes(rho, basis), basis_outcomes(sigma, basis)
+    return Dichotomy(p.weights, q.weights, IDENTITY_WITNESS if diagonal else None)
+
+
+# Dichotomy keys (ReachabilityOracle.key) of payloads, by theory.
+_ORDER_KEYS = {
+    RAND_UNIFORM: _uniform_key,
+    QRAND_QUNIFORM: _spectrum_key,
+    CDISTINGUISH: lambda pair: Dichotomy(pair[0].weights, pair[1].weights),
+    DISTINGUISH_RESTRICTED: _density_pair_key,
+}
+
+
+def _stacked(ps: list[np.ndarray], qs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Key components of one length n as two (N, n) arrays, or None."""
+    n = ps[0].size
+    if any(w.size != n for w in ps) or any(w.size != n for w in qs):
+        return None
+    return np.array(ps), np.array(qs)
 
 
 def classical_to_quantum_functor() -> FunctorMap:
-    """Diagonal embedding; its key map is p itself, since the spectrum of
-    diag(p) is p sorted, and majorization ignores order."""
+    """Diagonal embedding.  The spectrum of diag(p) is p sorted, and
+    majorization ignores order, so the key map reads (p, u_n) off p."""
+
+    def map_key(refs):
+        ps = [ref.payload.weights for ref in refs]
+        n = ps[0].size
+        if any(w.size != n for w in ps):
+            return None
+        return np.array(ps), _uniform(n).weights
+
     return FunctorMap(
         "classical_to_quantum",
         RAND_UNIFORM,
         QRAND_QUNIFORM,
         lambda ref: ResourceRef(QRAND_QUNIFORM, embed_classical_payload(ref.payload)),
-        attrgetter("payload.weights"),
+        map_key,
     )
 
 
 def classical_to_quantum_pair_functor() -> FunctorMap:
+    """Componentwise diagonal embedding.  The joint outcomes of
+    (diag(p), diag(q)) are (p, q) in the standard basis, so the key map
+    reads them off (p, q)."""
+
+    def map_key(refs):
+        return _stacked([ref.payload[0].weights for ref in refs],
+                        [ref.payload[1].weights for ref in refs])
+
     return FunctorMap(
         "classical_to_quantum_pairs",
         CDISTINGUISH,
@@ -245,12 +312,23 @@ def classical_to_quantum_pair_functor() -> FunctorMap:
         lambda ref: ResourceRef(
             DISTINGUISH_RESTRICTED, embed_classical_payload(ref.payload)
         ),
+        map_key,
     )
 
 
 def identity_functor(theory_id: str) -> FunctorMap:
-    path = _ORDER_KEYS.get(theory_id)
-    map_key = None if path is None else attrgetter("payload." + path)
+    """The identity; its key map is the theory's own key.  Not so for
+    distinguish_restricted, whose identity shortcut compares whole
+    matrices: a key in the joint eigenbasis of a rotated pair does not
+    determine them, so those sweeps stay per pair."""
+    payload_key = None if theory_id == DISTINGUISH_RESTRICTED else _ORDER_KEYS.get(theory_id)
+    map_key = None
+    if payload_key is not None:
+
+        def map_key(refs):
+            keys = [payload_key(ref.payload) for ref in refs]
+            return _stacked([k.p for k in keys], [k.q for k in keys])
+
     return FunctorMap("identity", theory_id, theory_id, lambda ref: ref, map_key)
 
 
@@ -288,12 +366,11 @@ def _wrap(theory_id: str, fn: Callable, exact: bool) -> ReachabilityOracle:
             )
         return fn(a.payload, b.payload)
 
-    path = _ORDER_KEYS.get(theory_id)
-    if path is None:
+    payload_key = _ORDER_KEYS.get(theory_id)
+    if payload_key is None:
         return ReachabilityOracle(theory_id, decide, exact)
-    payload_key = attrgetter(path)
 
-    def key(ref: ResourceRef) -> np.ndarray:
+    def key(ref: ResourceRef) -> Dichotomy | None:
         if ref.theory_id != theory_id:
             raise ValueError(f"oracle for {theory_id!r} got an object from {ref.theory_id!r}")
         return payload_key(ref.payload)

@@ -26,3 +26,21 @@ def ghz3_state() -> BipartitePure:
 def random_pure(rng: np.random.Generator, dims: tuple[int, int]) -> BipartitePure:
     v = rng.normal(size=dims[0] * dims[1]) + 1j * rng.normal(size=dims[0] * dims[1])
     return BipartitePure(v / np.linalg.norm(v), dims)
+
+
+def sparse_dist(rng, n: int) -> np.ndarray:
+    """Dirichlet weights with about a third of the entries zeroed."""
+    w = rng.dirichlet(np.ones(n))
+    w[rng.random(n) < 0.3] = 0.0
+    if w.sum() == 0:
+        w[rng.integers(n)] = 1.0
+    return w / w.sum()
+
+
+def nudged(rng, w: np.ndarray) -> np.ndarray:
+    """w moved by 1e-7 to 1e-3 along a random zero-sum direction: images
+    pushed just inside or just outside the reachable set."""
+    d = rng.normal(size=w.size)
+    d -= d.mean()
+    v = np.clip(w + 10 ** rng.uniform(-7, -3) * d, 0.0, None)
+    return v / v.sum()

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import bell_state, product_state
+from conftest import bell_state, product_state, sparse_dist
 from kanext import quantum, theories
 from kanext.kan import (
     EnumerationBudgetError,
@@ -23,13 +23,31 @@ from kanext.pcat import (
     ReachabilityOracle,
     ResourceRef,
 )
-from kanext.prob import INF, Dist, apply, random_uniform_matrix, shannon_entropy, simplex_grid
-from kanext.quantum import eig_hermitian, embed_classical, random_density, spectral_entropy
+from kanext.prob import (
+    INF,
+    Dist,
+    apply,
+    random_uniform_matrix,
+    relative_majorization_mask,
+    shannon_entropy,
+    simplex_grid,
+)
+from kanext.quantum import (
+    DensityMatrix,
+    eig_hermitian,
+    embed_classical,
+    random_density,
+    random_unitary,
+    spectral_entropy,
+)
 from kanext.theories import (
+    CDISTINGUISH,
+    DISTINGUISH_RESTRICTED,
     PUREBIP_LOCC,
     QRAND_QUNIFORM,
     RAND_UNIFORM,
     classical_to_quantum_functor,
+    classical_to_quantum_pair_functor,
     default_registry,
     identity_functor,
     make_monotone,
@@ -83,6 +101,44 @@ def counting_decide(prob):
 
     counted = dataclasses.replace(oracle, decide=decide)
     return dataclasses.replace(prob, target_oracle=counted), calls
+
+
+def pair_family(rng, count, n, k):
+    """A length-k pair y and ``count`` length-n pairs around it: x0, which
+    reaches y, images of y under random stochastic maps, and sparse or
+    dense draws, so both directions see both verdicts."""
+    x0 = (sparse_dist(rng, n), rng.dirichlet(np.ones(n)))
+    m0 = rng.dirichlet(np.ones(k), size=n)
+    y = (x0[0] @ m0, x0[1] @ m0)
+    pairs = [x0]
+    while len(pairs) < count:
+        kind = len(pairs) % 3
+        if kind == 0:
+            m = rng.dirichlet(np.ones(n), size=k)
+            pairs.append((y[0] @ m, y[1] @ m))
+        else:
+            draw = sparse_dist if kind == 1 else lambda r, m: r.dirichlet(np.ones(m))
+            pairs.append((draw(rng, n), draw(rng, n)))
+    return (Dist(y[0]), Dist(y[1])), [(Dist(p), Dist(q)) for p, q in pairs]
+
+
+def kl_problem(functor, theory_id, pairs):
+    """Complete, so that each side's exact flag shows its decisions' flags."""
+    return ExtensionProblem(
+        make_monotone("kl", COVARIANT),
+        functor,
+        REGISTRY.oracle(theory_id),
+        tuple(ResourceRef(CDISTINGUISH, pair) for pair in pairs),
+        candidates_complete=True,
+    )
+
+
+def embedded_pair(pair, unitary=None):
+    """(diag(p), diag(q)), conjugated by ``unitary`` where given."""
+    states = [np.diag(d.weights).astype(complex) for d in pair]
+    if unitary is not None:
+        states = [unitary @ s @ unitary.conj().T for s in states]
+    return ResourceRef(DISTINGUISH_RESTRICTED, tuple(DensityMatrix(s) for s in states))
 
 
 class TestEmptyDiagramConstants:
@@ -259,6 +315,31 @@ class TestSinglePass:
         assert calls[id(y.payload)] == 1
         assert len(decided) == 2 * len(candidates)
 
+    def test_measures_the_target_pair_once(self, monkeypatch, rng):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        original = theories._common_eigenbasis
+        monkeypatch.setattr(theories, "_common_eigenbasis", counting)
+        y, pairs = pair_family(rng, 12, 4, 3)
+        target = embedded_pair(y)
+        prob, decided = counting_decide(
+            kl_problem(classical_to_quantum_pair_functor(), DISTINGUISH_RESTRICTED, pairs)
+        )
+        extension(prob, target)
+        # the keyed sweep finds the target's joint eigenbasis once and asks
+        # the oracle nothing
+        assert len(calls) == 1
+        assert calls[0][0] is target.payload[0].entries
+        assert decided == []
+        # each per-pair decision measures both pairs again
+        extension(per_pair(prob), target)
+        assert len(calls) == 1 + 4 * len(pairs)
+        assert len(decided) == 2 * len(pairs)
+
 
 class TestKeyedSweep:
     """The keyed sweep and the per-pair fallback agree on every field."""
@@ -325,6 +406,84 @@ class TestKeyedSweep:
         prob = embedding_problem(candidates)
         targets = [ResourceRef(QRAND_QUNIFORM, random_density(rng, 4)) for _ in range(3)]
         self.check(prob, targets, keyed=False)
+
+    def test_grid_into_shorter_rand_uniform_targets(self, rng):
+        grid = simplex_grid(4, 0.2)
+        prob = shannon_problem(COVARIANT, grid, complete=True)
+        targets = [ResourceRef(RAND_UNIFORM, p) for p in simplex_grid(3, 0.25)]
+        targets += [ResourceRef(RAND_UNIFORM, Dist(sparse_dist(rng, 3))) for _ in range(4)]
+        # exact images of grid points under a uniform map from length 4 to 3
+        m = np.vstack([np.eye(3), np.full(3, 1 / 3)])
+        targets += [ResourceRef(RAND_UNIFORM, Dist(grid[i].weights @ m)) for i in (3, 30, 55)]
+        self.check(prob, targets)
+
+    def test_cdistinguish_under_identity(self, rng):
+        for n, k in [(4, 3), (3, 3), (2, 4)]:
+            y, pairs = pair_family(rng, 20, n, k)
+            prob = kl_problem(identity_functor(CDISTINGUISH), CDISTINGUISH, pairs)
+            targets = [ResourceRef(CDISTINGUISH, y)]
+            targets += [ResourceRef(CDISTINGUISH, pair) for pair in pairs[::7] if len(pair[0]) == k]
+            self.check(prob, targets)
+
+    @pytest.mark.parametrize("n, k", [(4, 3), (3, 4), (3, 3)])
+    def test_distinguish_restricted_under_the_pair_embedding(self, rng, n, k):
+        y, pairs = pair_family(rng, 20, n, k)
+        prob = kl_problem(classical_to_quantum_pair_functor(), DISTINGUISH_RESTRICTED, pairs)
+        targets = [embedded_pair(y), embedded_pair(y, random_unitary(rng, k))]
+        if n == k:
+            # a candidate's own image hits the identity shortcut
+            targets += [embedded_pair(pairs[i]) for i in (0, 5, 6)]
+        self.check(prob, targets)
+
+    def test_identity_shortcut_carries_its_witness(self, rng):
+        _, pairs = pair_family(rng, 10, 3, 3)
+        prob = kl_problem(classical_to_quantum_pair_functor(), DISTINGUISH_RESTRICTED, pairs[4:5])
+        prob, decided = counting_decide(prob)
+        lo, hi = extension(prob, embedded_pair(pairs[4]))
+        assert lo.witness[1] == hi.witness[1] == theories.IDENTITY_WITNESS
+        assert decided == []
+
+    def test_negatives_of_an_inexact_oracle_clear_the_exact_flags(self, rng):
+        # the target itself (the identity, exact) and one pair admissible on
+        # neither side: its two inexact negatives alone make both sides inexact
+        y, pairs = pair_family(rng, 30, 3, 3)
+        keys = [theories._ORDER_KEYS[CDISTINGUISH](pair) for pair in (y, *pairs)]
+        target, rest = keys[0], keys[1:]
+        apart = [
+            pair for pair, key in zip(pairs, rest)
+            if not relative_majorization_mask(target.p, target.q, key.p, key.q)
+            and not relative_majorization_mask(key.p, key.q, target.p, target.q)
+        ]
+        functor = classical_to_quantum_pair_functor()
+        prob = kl_problem(functor, DISTINGUISH_RESTRICTED, [y, apart[0]])
+        lo, hi = extension(prob, embedded_pair(y))
+        assert not lo.exact and not hi.exact
+        self.check(prob, [embedded_pair(y)])
+
+    def test_unital_channels_across_dimensions_fall_back(self, rng):
+        # spectrum keys decide equal dimensions only: d = 4 targets against
+        # length-3 candidates are decided pair by pair, and flagged inexact
+        prob = embedding_problem(simplex_grid(3, 0.25), complete=True)
+        targets = [ResourceRef(QRAND_QUNIFORM, random_density(rng, 4)) for _ in range(3)]
+        targets += [ResourceRef(QRAND_QUNIFORM, embed_classical(Dist([0.5, 0.5, 0.0, 0.0])))]
+        self.check(prob, targets, keyed=False)
+
+    def test_noncommuting_target_falls_back(self, rng):
+        y, pairs = pair_family(rng, 12, 3, 3)
+        prob = kl_problem(classical_to_quantum_pair_functor(), DISTINGUISH_RESTRICTED, pairs)
+        rho, sigma = random_density(rng, 3), random_density(rng, 3)
+        target = ResourceRef(DISTINGUISH_RESTRICTED, (rho, sigma))
+        assert theories._common_eigenbasis(rho.entries, sigma.entries) is None
+        self.check(prob, [target], keyed=False)
+
+    def test_mixed_candidate_lengths_fall_back(self, rng):
+        y, pairs = pair_family(rng, 12, 4, 3)
+        _, shorter = pair_family(rng, 4, 3, 3)
+        for functor, theory_id, target in [
+            (identity_functor(CDISTINGUISH), CDISTINGUISH, ResourceRef(CDISTINGUISH, y)),
+            (classical_to_quantum_pair_functor(), DISTINGUISH_RESTRICTED, embedded_pair(y)),
+        ]:
+            self.check(kl_problem(functor, theory_id, pairs + shorter), [target], keyed=False)
 
 
 class TestGridRefinement:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import nudged, sparse_dist
 from kanext.lp import (
     FEAS_TOL,
     LpFeasibility,
@@ -21,6 +22,7 @@ from kanext.prob import (
     kl_divergence,
     majorizes,
     random_stochastic,
+    relative_majorization_mask,
     relatively_majorizes,
     shannon_entropy,
     simplex_grid,
@@ -190,24 +192,6 @@ class TestExistsJointStochasticMap:
                 assert kl_divergence(p2, q2) <= kl_divergence(p, q) + 1e-9
 
 
-def sparse_dist(rng, n: int) -> np.ndarray:
-    """Dirichlet weights with about a third of the entries zeroed."""
-    w = rng.dirichlet(np.ones(n))
-    w[rng.random(n) < 0.3] = 0.0
-    if w.sum() == 0:
-        w[rng.integers(n)] = 1.0
-    return w / w.sum()
-
-
-def nudged(rng, w: np.ndarray) -> np.ndarray:
-    """w moved by 1e-7 to 1e-3 along a random zero-sum direction: images
-    pushed just inside or just outside the reachable set."""
-    d = rng.normal(size=w.size)
-    d -= d.mean()
-    v = np.clip(w + 10 ** rng.uniform(-7, -3) * d, 0.0, None)
-    return v / v.sum()
-
-
 def uniform_map(rng, n: int, k: int) -> np.ndarray:
     """A random n x k matrix with rows summing to 1 and columns to n/k."""
     m = rng.random((n, k)) + 0.05
@@ -265,6 +249,83 @@ class TestRelativelyMajorizesAgreesWithLp:
                         rand_uniform_oracle(p, q).reachable
                         == exists_uniform_map(p, q).feasible
                     ), (p, q)
+
+
+def split(rng, w: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """w spread over outcomes, outcome i taking a random share of
+    w[bins[i]]: merging the outcomes of each bin gives w back."""
+    shares = rng.random(bins.size) + 0.05
+    return w[bins] * shares / np.bincount(bins, shares)[bins]
+
+
+def lp_family(rng, n: int, k: int, count: int):
+    """A length-k pair y and ``count`` length-n pairs: images of y, pairs
+    that merge onto y (for n >= k), nudged copies of both, and sparse or
+    dense draws, so that both directions see both verdicts."""
+    y = (sparse_dist(rng, k), rng.dirichlet(np.ones(k)))
+    bins = np.concatenate([np.arange(k), rng.integers(0, k, size=max(n - k, 0))])
+    rows = []
+    for i in range(count):
+        kind = i % 4 if n >= k else i % 2 * 2
+        if kind == 0:
+            m = rng.dirichlet(np.ones(n), size=k)
+            p, q = y[0] @ m, y[1] @ m
+        elif kind == 1:
+            p, q = split(rng, y[0], bins), split(rng, y[1], bins)
+        else:
+            draw = sparse_dist if i % 3 == 0 else lambda r, m: r.dirichlet(np.ones(m))
+            p, q = draw(rng, n), draw(rng, n)
+        if i % 5 == 4 and n > 1:
+            p = nudged(rng, p)
+        rows.append((p, q))
+    p, q = (np.array(side) for side in zip(*rows))
+    return y, p, q
+
+
+class TestRelativeMajorizationMaskAgreesWithLp:
+    """Each row of the batched test against the single-pair call and the LP,
+    in both directions."""
+
+    SHAPES = [(4, 3), (3, 3), (3, 4), (5, 2), (2, 5), (1, 3), (3, 1)]
+
+    def test_joint_stochastic_maps(self, rng):
+        verdicts = {True: [], False: []}
+        for n, k in self.SHAPES:
+            (p2, q2), p, q = lp_family(rng, n, k, 16)
+            target = (Dist(p2), Dist(q2))
+            masks = {
+                True: relative_majorization_mask(p2, q2, p, q),
+                False: relative_majorization_mask(p, q, p2, q2),
+            }
+            for i in range(len(p)):
+                pair = (Dist(p[i]), Dist(q[i]))
+                for forward, mask in masks.items():
+                    source, image = (target, pair) if forward else (pair, target)
+                    lp_says = exists_joint_stochastic_map(source, image).feasible
+                    assert mask[i] == relatively_majorizes(source, image) == lp_says, (n, k, i)
+                    verdicts[forward].append(lp_says)
+        for seen in verdicts.values():
+            assert 0.15 < np.mean(seen) < 0.85
+
+    def test_uniform_maps(self, rng):
+        verdicts = {True: [], False: []}
+        for n, k in self.SHAPES:
+            (p2, _), p, _ = lp_family(rng, n, k, 16)
+            un, uk = np.full(n, 1 / n), np.full(k, 1 / k)
+            masks = {
+                True: relative_majorization_mask(p2, uk, p, un),
+                False: relative_majorization_mask(p, un, p2, uk),
+            }
+            for i in range(len(p)):
+                a, b = Dist(p2), Dist(p[i])
+                for forward, mask in masks.items():
+                    source, image = (a, b) if forward else (b, a)
+                    lp_says = exists_uniform_map(source, image).feasible
+                    pairs = (source, Dist.uniform(len(source))), (image, Dist.uniform(len(image)))
+                    assert mask[i] == relatively_majorizes(*pairs) == lp_says, (n, k, i)
+                    verdicts[forward].append(lp_says)
+        for seen in verdicts.values():
+            assert 0.15 < np.mean(seen) < 0.85
 
 
 class TestExistsDeterministicMap:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import nudged, sparse_dist
 from kanext import prob
 from kanext.prob import (
     Dist,
@@ -20,9 +21,11 @@ from kanext.prob import (
     is_uniform_matrix,
     kl_divergence,
     lorenz_curve,
+    majorization_mask,
     majorizes,
     random_deterministic,
     random_uniform_matrix,
+    relative_majorization_mask,
     relatively_majorizes,
     shannon_entropy,
     simplex_grid,
@@ -191,6 +194,95 @@ class TestRelativelyMajorizes:
             relatively_majorizes((Dist([0.5, 0.5]), Dist([1.0])), (Dist([1.0]), Dist([1.0])))
         with pytest.raises(DimensionMismatch):
             relatively_majorizes((Dist([1.0]), Dist([1.0])), (Dist([0.5, 0.5]), Dist([1.0])))
+
+
+def dichotomy_batch(rng, count: int, n: int, k: int):
+    """A length-k pair and ``count`` length-n pairs around it: images of
+    it, nudged images, and independent dense or sparse draws."""
+    p2, q2 = sparse_dist(rng, k), rng.dirichlet(np.ones(k))
+    rows = []
+    for i in range(count):
+        if i % 3 == 0:
+            m = rng.dirichlet(np.ones(n), size=k)
+            p, q = p2 @ m, q2 @ m
+            if i % 2 and n > 1:
+                p = nudged(rng, p)
+        else:
+            draw = sparse_dist if i % 3 == 1 else lambda r, m: r.dirichlet(np.ones(m))
+            p, q = draw(rng, n), draw(rng, n)
+        rows.append((p, q))
+    p, q = (np.array(side) for side in zip(*rows))
+    return p, q, p2, q2
+
+
+class TestRelativeMajorizationMask:
+    """The batched test against its single-pair calls."""
+
+    SHAPES = [(4, 3), (3, 4), (3, 3), (1, 2), (2, 1), (5, 5), (9, 4), (4, 9), (12, 12)]
+
+    @staticmethod
+    def pairs(p, q):
+        return [(Dist(a), Dist(b)) for a, b in zip(p, q)]
+
+    def test_rows_equal_single_pair_calls_in_both_directions(self, rng):
+        verdicts = []
+        for n, k in self.SHAPES:
+            p, q, p2, q2 = dichotomy_batch(rng, 30, n, k)
+            target = (Dist(p2), Dist(q2))
+            forward = relative_majorization_mask(p2, q2, p, q)
+            backward = relative_majorization_mask(p, q, p2, q2)
+            assert forward.shape == backward.shape == (30,)
+            for i, pair in enumerate(self.pairs(p, q)):
+                assert forward[i] == relatively_majorizes(target, pair), (n, k, i)
+                assert backward[i] == relatively_majorizes(pair, target), (n, k, i)
+            verdicts += [*forward, *backward]
+        assert 0.2 < np.mean(verdicts) < 0.8
+
+    def test_single_and_broadcast_calls_agree_bit_for_bit(self, rng):
+        for n, k in self.SHAPES:
+            p, q, p2, q2 = dichotomy_batch(rng, 24, n, k)
+            forward = relative_majorization_mask(p2, q2, p, q)
+            backward = relative_majorization_mask(p, q, p2, q2)
+            single = [
+                (relative_majorization_mask(p2, q2, a, b), relative_majorization_mask(a, b, p2, q2))
+                for a, b in zip(p, q)
+            ]
+            assert forward.tolist() == [bool(f) for f, _ in single]
+            assert backward.tolist() == [bool(b) for _, b in single]
+
+    def test_leading_axes_broadcast(self, rng):
+        p, q, p2, q2 = dichotomy_batch(rng, 12, 4, 3)
+        grid = relative_majorization_mask(p.reshape(3, 4, 4), q.reshape(3, 4, 4), p2, q2)
+        assert grid.shape == (3, 4)
+        assert grid.reshape(-1).tolist() == relative_majorization_mask(p, q, p2, q2).tolist()
+        # one q row shared by every p row
+        shared = relative_majorization_mask(p, q[0], p2, q2)
+        tiled = relative_majorization_mask(p, np.tile(q[0], (12, 1)), p2, q2)
+        assert shared.tolist() == tiled.tolist()
+
+    def test_chunks_change_nothing(self, rng, monkeypatch):
+        p, q, p2, q2 = dichotomy_batch(rng, 40, 4, 3)
+        whole = relative_majorization_mask(p, q, p2, q2)
+        monkeypatch.setattr(prob, "MASK_CHUNK_ENTRIES", 100)
+        assert relative_majorization_mask(p, q, p2, q2).tolist() == whole.tolist()
+
+    def test_empty_batch(self):
+        assert relative_majorization_mask(np.zeros((0, 3)), np.zeros((0, 3)), np.ones(2) / 2,
+                                          np.ones(2) / 2).shape == (0,)
+
+    def test_uniform_second_components_take_the_sorted_cumsum(self, rng):
+        p = rng.dirichlet(np.ones(4), size=50)
+        u = np.full(4, 0.25)
+        for target in p[:5]:
+            assert (
+                relative_majorization_mask(target, u, p, np.tile(u, (50, 1))).tolist()
+                == majorization_mask(target, p).tolist()
+            )
+
+    def test_unequal_components_raise(self):
+        with pytest.raises(DimensionMismatch):
+            relative_majorization_mask(np.ones((2, 3)) / 3, np.ones((2, 2)) / 2, np.ones(2) / 2,
+                                       np.ones(2) / 2)
 
 
 class TestMajorizes:
