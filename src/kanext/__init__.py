@@ -6,13 +6,10 @@ from .prob import (
     DimensionMismatch,
     ExtValue,
     InvariantViolation,
-    LorenzCurve,
     StochMatrix,
-    apply,
-    is_deterministic,
-    is_uniform_matrix,
     kl_divergence,
     lorenz_curve,
+    lorenz_csv,
     majorizes,
     shannon_entropy,
     simplex_grid,
@@ -28,17 +25,11 @@ from .lp import (
 from .quantum import (
     BipartitePure,
     DensityMatrix,
-    KrausChannel,
     Spectrum,
-    apply_channel,
     eig_hermitian,
     embed_classical,
-    embed_stochastic,
-    is_unital,
     locc_convertible_pure,
     measurement_entropy_search,
-    partial_trace,
-    preparation_entropy,
     schmidt_coefficients,
     schmidt_rank,
     spectral_entropy,
@@ -51,7 +42,6 @@ from .pcat import (
     PreorderRelation,
     ReachabilityOracle,
     ResourceRef,
-    check_monotone,
     preorder_collapse,
 )
 from .kan import (

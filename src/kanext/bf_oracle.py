@@ -1,8 +1,8 @@
-"""Independent brute-force oracles for cross-validating the engine.
+"""Randomized finite toy theories for ``verify optimality``.
 
-Nothing here shares reduction or comparison helpers with the extension
-engine; agreement between the two code paths is what the tests check.
-Also hosts the randomized finite toy theories those tests sweep over.
+A toy theory is given directly by its free-reachability matrix.  The
+sampled ones are random preorders on a few objects, small enough that
+every competitor monotone on them can be enumerated.
 """
 
 from __future__ import annotations
@@ -16,44 +16,6 @@ from .pcat import CONTRAVARIANT, COVARIANT, Decision, MonotoneSpec, Reachability
 from .prob import INF, ExtValue, InvariantViolation
 
 DEFAULT_TOY_GRID: tuple[ExtValue, ...] = (0.0, 0.5, 1.0, 2.0, INF)
-
-
-def bf_minimal_extension(problem: ExtensionProblem, y: ResourceRef) -> ExtValue:
-    """Direct re-evaluation of the minimal extension by explicit looping."""
-    covariant = problem.monotone.variance == COVARIANT
-    best = None
-    for x in problem.candidates:
-        image = problem.functor.map_object(x)
-        if problem.target_oracle.decide(y, image).reachable:
-            v = problem.monotone.evaluate(x)
-            if best is None:
-                best = v
-            elif covariant and v < best:
-                best = v
-            elif not covariant and v > best:
-                best = v
-    if best is None:
-        return INF if covariant else 0.0
-    return best
-
-
-def bf_maximal_extension(problem: ExtensionProblem, y: ResourceRef) -> ExtValue:
-    """Direct re-evaluation of the maximal extension by explicit looping."""
-    covariant = problem.monotone.variance == COVARIANT
-    best = None
-    for x in problem.candidates:
-        image = problem.functor.map_object(x)
-        if problem.target_oracle.decide(image, y).reachable:
-            v = problem.monotone.evaluate(x)
-            if best is None:
-                best = v
-            elif covariant and v > best:
-                best = v
-            elif not covariant and v < best:
-                best = v
-    if best is None:
-        return 0.0 if covariant else INF
-    return best
 
 
 @dataclass(frozen=True, eq=False)

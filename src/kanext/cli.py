@@ -37,6 +37,7 @@ from .prob import (
     InvariantViolation,
     ext_to_json,
     kl_divergence,
+    lorenz_csv,
     lorenz_curve,
     majorizes,
     random_stochastic,
@@ -473,15 +474,15 @@ def cmd_lorenz(cfg: dict) -> tuple[int, dict]:
     if not out or not isinstance(out, str):
         raise ConfigError("lorenz needs an output path")
     dists = [parse_payload("dist", d) for d in raw]
-    curves = [lorenz_curve(d) for d in dists]
-    if len(curves) == 1:
-        content = curves[0].to_csv()
+    csvs = [lorenz_csv(lorenz_curve(d)) for d in dists]
+    if len(csvs) == 1:
+        content = csvs[0]
         doc = {"command": "lorenz", "out": out, "curves": 1}
     else:
         dominated = rand_uniform_oracle(dists[0], dists[1]).reachable
         blocks = [
-            "# curve: p\n" + curves[0].to_csv(),
-            "# curve: q\n" + curves[1].to_csv(),
+            "# curve: p\n" + csvs[0],
+            "# curve: q\n" + csvs[1],
             f"# q_majorized_by_p: {json.dumps(dominated)}\n",
         ]
         content = "".join(blocks)
@@ -525,10 +526,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.config == "-":
-            cfg = json.load(sys.stdin)
+            cfg = json.load(sys.stdin, parse_constant=_refuse_constant)
         else:
             with open(args.config) as fh:
-                cfg = json.load(fh)
+                cfg = json.load(fh, parse_constant=_refuse_constant)
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
         if args.seed is not None:
@@ -548,6 +549,12 @@ def main(argv: list[str] | None = None) -> int:
         print("error: stdout was closed before the output was written", file=sys.stderr)
         return EXIT_USAGE
     return code
+
+
+def _refuse_constant(name: str):
+    """``json.load`` calls this for NaN, Infinity and -Infinity, which are
+    not JSON and which no config value may take."""
+    raise ConfigError(f"config holds {name}, which is not a JSON number")
 
 
 def _stdout_to_devnull() -> None:

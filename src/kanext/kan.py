@@ -54,6 +54,7 @@ from .pcat import (
     ReachabilityOracle,
     ResourceRef,
     ext_leq,
+    preorder_collapse,
 )
 
 
@@ -399,6 +400,10 @@ def verify_optimality_bruteforce(
     side and ext <= G on a sup side; for covariant monotones, the minimal
     extension dominates every competitor and the maximal one is dominated
     by all of them.  Comparisons are exact.
+
+    The free relation comes from ``pcat.preorder_collapse``, so an oracle
+    that is inexact, irreflexive or intransitive on the target objects
+    raises before any competitor is enumerated.
     """
     n = len(target_objects)
     if len(value_grid) ** n > budget:
@@ -406,12 +411,7 @@ def verify_optimality_bruteforce(
             f"{len(value_grid)}^{n} assignments exceed budget {budget}"
         )
     covariant = prob.monotone.variance == COVARIANT
-    relation = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            relation[i, j] = prob.target_oracle.decide(
-                target_objects[i], target_objects[j]
-            ).reachable
+    relation = preorder_collapse(prob.target_oracle, target_objects).relation
 
     index_of = {id(ref): i for i, ref in enumerate(target_objects)}
 

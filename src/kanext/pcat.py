@@ -131,16 +131,6 @@ class MonotoneSpec:
 
 
 @dataclass(frozen=True)
-class Violation:
-    """One ordered pair on which a monotone disrespects reachability."""
-
-    source: ResourceRef
-    target: ResourceRef
-    value_source: ExtValue
-    value_target: ExtValue
-
-
-@dataclass(frozen=True)
 class PreorderRelation:
     """Reachability restricted to a finite object list; checked on build."""
 
@@ -208,24 +198,3 @@ def preorder_collapse(
                 )
             rel[i, j] = d.reachable
     return PreorderRelation(tuple(objects), rel)
-
-
-def check_monotone(
-    oracle: ReachabilityOracle,
-    mono: MonotoneSpec,
-    pairs: list[tuple[ResourceRef, ResourceRef]],
-) -> list[Violation]:
-    """Collect order violations of a monotone over reachable pairs."""
-    violations = []
-    for a, b in pairs:
-        if not oracle.decide(a, b).reachable:
-            continue
-        va = mono.evaluate(a)
-        vb = mono.evaluate(b)
-        if mono.variance == COVARIANT:
-            ok = ext_leq(va, vb, VALUE_SLACK)
-        else:
-            ok = ext_leq(vb, va, VALUE_SLACK)
-        if not ok:
-            violations.append(Violation(a, b, va, vb))
-    return violations

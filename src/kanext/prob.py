@@ -30,8 +30,6 @@ STOCHASTIC_TOL = 1e-12
 # simplex run whose pivots compound their rounding.  The LP cross-checks in
 # the tests nudge images by 1e-7 to 1e-3, far beyond both tolerances.
 ORDER_SLACK = 1e-10
-# Lorenz knots must sit within this of the corners: x at 0 and 1, y at 0.
-KNOT_TOL = 1e-12
 # A grid step divides 1 when 1/step times step is within this of 1.
 STEP_TOL = 1e-12
 # Most entries of one (rows, n + k, n + k) temporary of a batched
@@ -57,15 +55,6 @@ class GridSizeError(ValueError):
 def ext_to_json(value: ExtValue):
     """Render an extended value for JSON; infinity has no JSON literal."""
     return "inf" if value == INF else float(value)
-
-
-def ext_from_json(data) -> ExtValue:
-    if data == "inf":
-        return INF
-    value = float(data)
-    if value < 0:
-        raise InvariantViolation(f"extended values are nonnegative, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -147,41 +136,6 @@ class StochMatrix:
         return cls(np.asarray(data, dtype=float))
 
 
-@dataclass(frozen=True)
-class LorenzCurve:
-    """Piecewise-linear cumulative curve from (0,0) to (1,1).
-
-    Knots are the partial sums of the increasing rearrangement of a
-    distribution; linear interpolation is implied between consecutive knots.
-    """
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise InvariantViolation(f"expected (k, 2) points, got shape {pts.shape}")
-        if not (abs(pts[0, 0]) < KNOT_TOL and abs(pts[0, 1]) < KNOT_TOL):
-            raise InvariantViolation("curve must start at (0, 0)")
-        # the last ordinate is the total weight
-        if not (abs(pts[-1, 0] - 1) < KNOT_TOL and abs(pts[-1, 1] - 1) < NORMALIZATION_TOL):
-            raise InvariantViolation("curve must end at (1, 1)")
-        if np.any(np.diff(pts[:, 0]) <= 0):
-            raise InvariantViolation("x knots must be strictly increasing")
-        if np.any(np.diff(pts[:, 1]) < -ORDER_SLACK):
-            raise InvariantViolation("y values must be non-decreasing")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    def ordinate_at(self, x: float) -> float:
-        return float(np.interp(x, self.points[:, 0], self.points[:, 1]))
-
-    def to_csv(self) -> str:
-        lines = ["x,y"]
-        lines += [f"{float(x)!r},{float(y)!r}" for x, y in self.points]
-        return "\n".join(lines) + "\n"
-
-
 def shannon_entropy(p: Dist) -> ExtValue:
     """H(p) = -sum p_i log2 p_i, with 0 log 0 = 0.  Lies in [0, log2 n]."""
     w = p.weights[p.weights > 0]
@@ -208,13 +162,22 @@ def _lorenz_ordinates(weights: np.ndarray) -> np.ndarray:
     return np.cumsum(np.sort(weights, axis=-1), axis=-1)
 
 
-def lorenz_curve(p: Dist) -> LorenzCurve:
-    """Knots (i/n, partial sums) of the increasing rearrangement of p."""
+def lorenz_curve(p: Dist) -> np.ndarray:
+    """The (n + 1, 2) knots (i/n, partial sums) of the increasing
+    rearrangement of p, from (0, 0) to (1, 1); the curve is linear between
+    consecutive knots."""
     n = len(p)
     x = np.arange(n + 1) / n
     y = np.concatenate(([0.0], _lorenz_ordinates(p.weights)))
     y[-1] = 1.0
-    return LorenzCurve(np.column_stack([x, y]))
+    return np.column_stack([x, y])
+
+
+def lorenz_csv(knots: np.ndarray) -> str:
+    """Lorenz knots as CSV text: an ``x,y`` header and one row per knot."""
+    lines = ["x,y"]
+    lines += [f"{float(x)!r},{float(y)!r}" for x, y in knots]
+    return "\n".join(lines) + "\n"
 
 
 def majorization_mask(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -230,13 +193,12 @@ def majorizes(p: Dist, q: Dist) -> bool:
     """True iff q is majorized by p (q is the more uniform of the two).
 
     Decided by Lorenz-curve dominance: with entries sorted increasingly, the
-    curve of p must lie on or below the curve of q at every shared knot.
-    Lengths are equalized by zero-padding, so both curves share knots i/n.
+    curve of p must lie on or below the curve of q at every knot i/n.  The
+    lengths must agree.
     """
-    n = max(len(p), len(q))
-    a = np.concatenate([p.weights, np.zeros(n - len(p))])
-    b = np.concatenate([q.weights, np.zeros(n - len(q))])
-    return bool(majorization_mask(a, b))
+    if len(p) != len(q):
+        raise DimensionMismatch(f"lengths {len(p)} and {len(q)} differ")
+    return bool(majorization_mask(p.weights, q.weights))
 
 
 def _uniform_rows(q: np.ndarray) -> bool:
@@ -327,28 +289,6 @@ def relatively_majorizes(source: tuple[Dist, Dist], target: tuple[Dist, Dist]) -
     return bool(relative_majorization_mask(p.weights, q.weights, p2.weights, q2.weights))
 
 
-def apply(p: Dist, m: StochMatrix) -> Dist:
-    """Push p through the stochastic map: returns p @ M."""
-    if len(p) != m.shape[0]:
-        raise DimensionMismatch(f"distribution of length {len(p)} vs matrix {m.shape}")
-    return Dist(p.weights @ m.entries)
-
-
-def is_deterministic(m: StochMatrix) -> bool:
-    """True iff every entry is 0 or 1, i.e. the matrix is a function X -> Y."""
-    e = m.entries
-    return bool(np.all(np.minimum(np.abs(e), np.abs(e - 1.0)) <= STOCHASTIC_TOL))
-
-
-def is_uniform_matrix(m: StochMatrix) -> bool:
-    """True iff every column sums to |X|/|Y|; such maps preserve uniformity.
-
-    Square uniform matrices are exactly the doubly stochastic ones.
-    """
-    n, k = m.shape
-    return bool(np.all(np.abs(m.entries.sum(axis=0) - n / k) <= STOCHASTIC_TOL))
-
-
 def simplex_grid(length: int, step: float) -> list[Dist]:
     """All distributions of the given length with weights on a step grid.
 
@@ -385,11 +325,4 @@ def random_uniform_matrix(rng: np.random.Generator, n: int, terms: int = 4) -> S
     m = np.zeros((n, n))
     for w in weights:
         m += w * np.eye(n)[rng.permutation(n)]
-    return StochMatrix(m)
-
-
-def random_deterministic(rng: np.random.Generator, n: int, k: int) -> StochMatrix:
-    """A random function X -> Y as a 0/1 stochastic matrix."""
-    m = np.zeros((n, k))
-    m[np.arange(n), rng.integers(0, k, size=n)] = 1.0
     return StochMatrix(m)

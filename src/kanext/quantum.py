@@ -1,9 +1,11 @@
 """Dense complex linear algebra for small quantum systems.
 
-Density matrices, Kraus channels, the classical embedding (diagonal states
-and measure-and-reassign channels), entropies, partial trace, Schmidt
-structure, and pure-state LOCC convertibility.  Dimensions stay at or below
-16, so everything is plain dense numpy.
+Density matrices and their spectra, the classical embedding (diagonal
+states), entropies and sampled projective measurements, Schmidt
+coefficients of bipartite pure states (squared singular values of the
+coefficient matrix), and pure-state LOCC convertibility by Nielsen's
+theorem.  Density matrices stay at or below DIMENSION_CAP, so everything
+is plain dense numpy.
 """
 
 from __future__ import annotations
@@ -13,21 +15,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .prob import (
-    Dist,
-    DimensionMismatch,
-    ExtValue,
-    InvariantViolation,
-    StochMatrix,
-    majorizes,
-    shannon_entropy,
-)
+from .prob import Dist, ExtValue, InvariantViolation, majorization_mask, shannon_entropy
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
-COMPLETENESS_TOL = 1e-9
-UNITAL_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
 RANK_TOL = 1e-8
 # A pure state vector's norm may differ from 1 by this much.
@@ -52,10 +44,13 @@ class DensityMatrix:
         d = m.shape[0]
         if d > DIMENSION_CAP:
             raise InvariantViolation(f"dimension {d} exceeds cap {DIMENSION_CAP}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+        # before any arithmetic, which would warn on infinite entries
+        if not np.isfinite(m).all():
+            raise InvariantViolation("matrix has a non-finite entry")
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
             raise InvariantViolation("matrix is not Hermitian")
         m = (m + m.conj().T) / 2
-        if abs(m.trace().real - 1.0) > TRACE_TOL:
+        if not abs(m.trace().real - 1.0) <= TRACE_TOL:
             raise InvariantViolation(f"trace {m.trace().real} deviates from 1")
         if np.linalg.eigvalsh(m).min() < -PSD_TOL:
             raise InvariantViolation("matrix has a negative eigenvalue")
@@ -88,34 +83,6 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class KrausChannel:
-    """A quantum channel as Kraus operators; each operator maps in -> out."""
-
-    kraus_ops: tuple
-    in_dim: int
-    out_dim: int
-
-    def __post_init__(self):
-        ops = tuple(np.array(b, dtype=complex) for b in self.kraus_ops)
-        if not ops:
-            raise InvariantViolation("channel needs at least one Kraus operator")
-        for b in ops:
-            if b.shape != (self.out_dim, self.in_dim):
-                raise InvariantViolation(
-                    f"Kraus operator shape {b.shape} != ({self.out_dim}, {self.in_dim})"
-                )
-            b.setflags(write=False)
-        total = sum(b.conj().T @ b for b in ops)
-        if np.max(np.abs(total - np.eye(self.in_dim))) > COMPLETENESS_TOL:
-            raise InvariantViolation("Kraus operators do not sum to the identity")
-        object.__setattr__(self, "kraus_ops", ops)
-
-    @staticmethod
-    def identity(d: int) -> "KrausChannel":
-        return KrausChannel((np.eye(d),), d, d)
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues (a distribution, sorted decreasing) with eigenvector columns."""
 
@@ -133,9 +100,12 @@ class BipartitePure:
     def __post_init__(self):
         v = np.asarray(self.state_vector, dtype=complex).reshape(-1)
         da, db = self.dims
+        if da < 1 or db < 1:
+            raise InvariantViolation(f"dims {da} and {db} must be positive")
         if v.size != da * db:
             raise InvariantViolation(f"vector length {v.size} != {da} * {db}")
-        if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
+        # written so that a NaN norm fails too
+        if not abs(np.linalg.norm(v) - 1.0) <= NORM_TOL:
             raise InvariantViolation("state vector is not normalized")
         v.setflags(write=False)
         object.__setattr__(self, "state_vector", v)
@@ -184,48 +154,9 @@ def embed_classical(p: Dist) -> DensityMatrix:
     return DensityMatrix(np.diag(p.weights).astype(complex))
 
 
-def embed_stochastic(m: StochMatrix) -> KrausChannel:
-    """Channel of a stochastic matrix: Kraus operators sqrt(M_ij) |j><i|.
-
-    Acts on diagonal states exactly as M acts on distributions, and kills
-    off-diagonal terms (measure in the basis, then reassign).
-    """
-    n, k = m.shape
-    ops = []
-    for i in range(n):
-        for j in range(k):
-            b = np.zeros((k, n), dtype=complex)
-            b[j, i] = np.sqrt(m.entries[i, j])
-            ops.append(b)
-    return KrausChannel(tuple(ops), in_dim=n, out_dim=k)
-
-
-def apply_channel(chan: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    if chan.in_dim != rho.dim:
-        raise DimensionMismatch(f"channel input {chan.in_dim} vs state dim {rho.dim}")
-    out = sum(b @ rho.entries @ b.conj().T for b in chan.kraus_ops)
-    return DensityMatrix((out + out.conj().T) / 2)
-
-
-def is_unital(chan: KrausChannel) -> bool:
-    """True iff the maximally mixed input maps to the maximally mixed output."""
-    image = apply_channel(chan, DensityMatrix.maximally_mixed(chan.in_dim))
-    target = np.eye(chan.out_dim) / chan.out_dim
-    return bool(np.max(np.abs(image.entries - target)) <= UNITAL_TOL)
-
-
 def spectral_entropy(rho: DensityMatrix) -> ExtValue:
     """Shannon entropy of the spectrum (the von Neumann entropy, in bits)."""
     return shannon_entropy(rho.spectrum.eigenvalues)
-
-
-def preparation_entropy(rho: DensityMatrix) -> ExtValue:
-    """Least randomness over orthogonal pure-state decompositions.
-
-    Every such decomposition diagonalizes rho, so this is the spectral
-    entropy in closed form.
-    """
-    return spectral_entropy(rho)
 
 
 def basis_outcomes(rho: DensityMatrix, basis: np.ndarray) -> Dist:
@@ -240,11 +171,7 @@ def haar_basis(dim: int, seed: int, index: int) -> np.ndarray:
     Counter-based Philox streams keep samples independent per index, so a
     sweep over indices can be evaluated in any order or in parallel.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r)
-    return q * (phases / np.abs(phases))
+    return random_unitary(np.random.Generator(np.random.Philox(key=seed).jumped(index)), dim)
 
 
 def measurement_entropy_search(rho: DensityMatrix, samples: int, seed: int) -> ExtValue:
@@ -263,25 +190,11 @@ def measurement_entropy_search(rho: DensityMatrix, samples: int, seed: int) -> E
     return best
 
 
-def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> DensityMatrix:
-    """Trace out one tensor factor; keep is "A" or "B"."""
-    da, db = dims
-    if rho.dim != da * db:
-        raise DimensionMismatch(f"dim {rho.dim} does not factor as {da} * {db}")
-    blocks = rho.entries.reshape(da, db, da, db)
-    if keep == "A":
-        reduced = np.einsum("ijkj->ik", blocks)
-    elif keep == "B":
-        reduced = np.einsum("ijil->jl", blocks)
-    else:
-        raise ValueError(f'keep must be "A" or "B", got {keep!r}')
-    return DensityMatrix(reduced)
-
-
 def schmidt_coefficients(psi: BipartitePure) -> Dist:
-    """Spectrum of the reduced state, sorted decreasing."""
-    reduced = partial_trace(psi.projector(), psi.dims, keep="A")
-    return eig_hermitian(reduced).eigenvalues
+    """The min(dA, dB) squared singular values of the dA x dB coefficient
+    matrix, sorted decreasing: the spectrum of the reduced state on the
+    smaller factor (Schmidt decomposition)."""
+    return Dist(np.linalg.svd(psi.state_vector.reshape(psi.dims), compute_uv=False) ** 2)
 
 
 def schmidt_rank(psi: BipartitePure) -> int:
@@ -290,9 +203,15 @@ def schmidt_rank(psi: BipartitePure) -> int:
 
 
 def locc_convertible_pure(phi: BipartitePure, psi: BipartitePure) -> bool:
-    """Nielsen criterion: phi -> psi under LOCC iff psi's Schmidt vector
-    majorizes phi's (the source is the more uniformly entangled one)."""
-    return majorizes(schmidt_coefficients(psi), schmidt_coefficients(phi))
+    """Nielsen criterion (Phys. Rev. Lett. 83, 436, 1999): phi -> psi under
+    LOCC iff psi's Schmidt vector majorizes phi's (the source is the more
+    uniformly entangled one).  Vectors of unequal lengths are zero-padded
+    to one length: embedding a state in larger local spaces adds only zero
+    coefficients."""
+    a, b = schmidt_coefficients(psi), schmidt_coefficients(phi)
+    n = max(len(a), len(b))
+    padded = [np.concatenate([c.weights, np.zeros(n - len(c))]) for c in (a, b)]
+    return bool(majorization_mask(*padded))
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:

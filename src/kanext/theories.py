@@ -44,8 +44,6 @@ from .quantum import (
     DensityMatrix,
     basis_outcomes,
     embed_classical,
-    embed_stochastic,
-    is_unital,
     locc_convertible_pure,
     schmidt_rank,
     spectral_entropy,
@@ -218,11 +216,6 @@ def embed_classical_payload(payload):
         return embed_classical(payload)
     p, q = payload
     return (embed_classical(p), embed_classical(q))
-
-
-def stochastic_image_is_free(m: StochMatrix) -> bool:
-    """Functor law probe: images of uniform matrices must be unital channels."""
-    return is_unital(embed_stochastic(m))
 
 
 def _uniform_key(p: Dist) -> Dichotomy:

@@ -1,7 +1,10 @@
 """Brute-force searches that only the tests use.
 
-A grid search for uniform maps, the grid spec it enumerates, and a sampled
-upper bound on the Schmidt number of mixed states.
+Both extensions re-evaluated by explicit looping, a pairwise monotonicity
+check, a grid search for uniform maps with the grid spec it enumerates,
+and a sampled upper bound on the Schmidt number of mixed states.  Nothing
+here shares reduction or comparison helpers with the extension engine;
+agreement between the two code paths is what the tests check.
 """
 
 from __future__ import annotations
@@ -10,8 +13,86 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kanext.prob import Dist, InvariantViolation, StochMatrix, simplex_grid
+from kanext.kan import ExtensionProblem
+from kanext.pcat import (
+    COVARIANT,
+    VALUE_SLACK,
+    MonotoneSpec,
+    ReachabilityOracle,
+    ResourceRef,
+    ext_leq,
+)
+from kanext.prob import INF, Dist, ExtValue, InvariantViolation, StochMatrix, simplex_grid
 from kanext.quantum import RANK_TOL, BipartitePure, DensityMatrix, eig_hermitian, schmidt_rank
+
+
+def bf_minimal_extension(problem: ExtensionProblem, y: ResourceRef) -> ExtValue:
+    """Direct re-evaluation of the minimal extension by explicit looping."""
+    covariant = problem.monotone.variance == COVARIANT
+    best = None
+    for x in problem.candidates:
+        image = problem.functor.map_object(x)
+        if problem.target_oracle.decide(y, image).reachable:
+            v = problem.monotone.evaluate(x)
+            if best is None:
+                best = v
+            elif covariant and v < best:
+                best = v
+            elif not covariant and v > best:
+                best = v
+    if best is None:
+        return INF if covariant else 0.0
+    return best
+
+
+def bf_maximal_extension(problem: ExtensionProblem, y: ResourceRef) -> ExtValue:
+    """Direct re-evaluation of the maximal extension by explicit looping."""
+    covariant = problem.monotone.variance == COVARIANT
+    best = None
+    for x in problem.candidates:
+        image = problem.functor.map_object(x)
+        if problem.target_oracle.decide(image, y).reachable:
+            v = problem.monotone.evaluate(x)
+            if best is None:
+                best = v
+            elif covariant and v > best:
+                best = v
+            elif not covariant and v < best:
+                best = v
+    if best is None:
+        return 0.0 if covariant else INF
+    return best
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One ordered pair on which a monotone disrespects reachability."""
+
+    source: ResourceRef
+    target: ResourceRef
+    value_source: ExtValue
+    value_target: ExtValue
+
+
+def check_monotone(
+    oracle: ReachabilityOracle,
+    mono: MonotoneSpec,
+    pairs: list[tuple[ResourceRef, ResourceRef]],
+) -> list[Violation]:
+    """Collect order violations of a monotone over reachable pairs."""
+    violations = []
+    for a, b in pairs:
+        if not oracle.decide(a, b).reachable:
+            continue
+        va = mono.evaluate(a)
+        vb = mono.evaluate(b)
+        if mono.variance == COVARIANT:
+            ok = ext_leq(va, vb, VALUE_SLACK)
+        else:
+            ok = ext_leq(vb, va, VALUE_SLACK)
+        if not ok:
+            violations.append(Violation(a, b, va, vb))
+    return violations
 
 
 @dataclass(frozen=True)

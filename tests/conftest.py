@@ -28,6 +28,16 @@ def random_pure(rng: np.random.Generator, dims: tuple[int, int]) -> BipartitePur
     return BipartitePure(v / np.linalg.norm(v), dims)
 
 
+def low_rank_pure(rng: np.random.Generator, dims: tuple[int, int], rank: int) -> BipartitePure:
+    """A random state whose coefficient matrix has the given rank: a
+    product of random (dA, rank) and (rank, dB) matrices."""
+    da, db = dims
+    a = rng.normal(size=(da, rank)) + 1j * rng.normal(size=(da, rank))
+    b = rng.normal(size=(rank, db)) + 1j * rng.normal(size=(rank, db))
+    v = (a @ b).reshape(-1)
+    return BipartitePure(v / np.linalg.norm(v), dims)
+
+
 def sparse_dist(rng, n: int) -> np.ndarray:
     """Dirichlet weights with about a third of the entries zeroed."""
     w = rng.dirichlet(np.ones(n))

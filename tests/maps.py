@@ -1,0 +1,128 @@
+"""Stochastic maps and quantum channels that only the tests apply.
+
+Pushing distributions through matrices, predicates on matrices, Kraus
+channels with the measure-and-reassign embedding of stochastic matrices,
+and the partial trace.  The CLI decides reachability without applying a
+map or a channel, so none of this ships in the package.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from kanext.prob import STOCHASTIC_TOL, DimensionMismatch, Dist, InvariantViolation, StochMatrix
+from kanext.quantum import DensityMatrix
+
+# Kraus operators B_i must satisfy sum B_i^dag B_i = I to within this.
+COMPLETENESS_TOL = 1e-9
+# A channel is unital when it maps I/d_in to I/d_out to within this.
+UNITAL_TOL = 1e-9
+
+
+def apply(p: Dist, m: StochMatrix) -> Dist:
+    """Push p through the stochastic map: returns p @ M."""
+    if len(p) != m.shape[0]:
+        raise DimensionMismatch(f"distribution of length {len(p)} vs matrix {m.shape}")
+    return Dist(p.weights @ m.entries)
+
+
+def is_deterministic(m: StochMatrix) -> bool:
+    """True iff every entry is 0 or 1, i.e. the matrix is a function X -> Y."""
+    e = m.entries
+    return bool(np.all(np.minimum(np.abs(e), np.abs(e - 1.0)) <= STOCHASTIC_TOL))
+
+
+def is_uniform_matrix(m: StochMatrix) -> bool:
+    """True iff every column sums to |X|/|Y|; such maps preserve uniformity.
+
+    Square uniform matrices are exactly the doubly stochastic ones.
+    """
+    n, k = m.shape
+    return bool(np.all(np.abs(m.entries.sum(axis=0) - n / k) <= STOCHASTIC_TOL))
+
+
+def random_deterministic(rng: np.random.Generator, n: int, k: int) -> StochMatrix:
+    """A random function X -> Y as a 0/1 stochastic matrix."""
+    m = np.zeros((n, k))
+    m[np.arange(n), rng.integers(0, k, size=n)] = 1.0
+    return StochMatrix(m)
+
+
+@dataclass(frozen=True)
+class KrausChannel:
+    """A quantum channel as Kraus operators; each operator maps in -> out."""
+
+    kraus_ops: tuple
+    in_dim: int
+    out_dim: int
+
+    def __post_init__(self):
+        ops = tuple(np.array(b, dtype=complex) for b in self.kraus_ops)
+        if not ops:
+            raise InvariantViolation("channel needs at least one Kraus operator")
+        for b in ops:
+            if b.shape != (self.out_dim, self.in_dim):
+                raise InvariantViolation(
+                    f"Kraus operator shape {b.shape} != ({self.out_dim}, {self.in_dim})"
+                )
+            b.setflags(write=False)
+        total = sum(b.conj().T @ b for b in ops)
+        if np.max(np.abs(total - np.eye(self.in_dim))) > COMPLETENESS_TOL:
+            raise InvariantViolation("Kraus operators do not sum to the identity")
+        object.__setattr__(self, "kraus_ops", ops)
+
+    @staticmethod
+    def identity(d: int) -> "KrausChannel":
+        return KrausChannel((np.eye(d),), d, d)
+
+
+def embed_stochastic(m: StochMatrix) -> KrausChannel:
+    """Channel of a stochastic matrix: Kraus operators sqrt(M_ij) |j><i|.
+
+    Acts on diagonal states exactly as M acts on distributions, and kills
+    off-diagonal terms (measure in the basis, then reassign).
+    """
+    n, k = m.shape
+    ops = []
+    for i in range(n):
+        for j in range(k):
+            b = np.zeros((k, n), dtype=complex)
+            b[j, i] = np.sqrt(m.entries[i, j])
+            ops.append(b)
+    return KrausChannel(tuple(ops), in_dim=n, out_dim=k)
+
+
+def apply_channel(chan: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
+    if chan.in_dim != rho.dim:
+        raise DimensionMismatch(f"channel input {chan.in_dim} vs state dim {rho.dim}")
+    out = sum(b @ rho.entries @ b.conj().T for b in chan.kraus_ops)
+    return DensityMatrix((out + out.conj().T) / 2)
+
+
+def is_unital(chan: KrausChannel) -> bool:
+    """True iff the maximally mixed input maps to the maximally mixed output."""
+    image = apply_channel(chan, DensityMatrix.maximally_mixed(chan.in_dim))
+    target = np.eye(chan.out_dim) / chan.out_dim
+    return bool(np.max(np.abs(image.entries - target)) <= UNITAL_TOL)
+
+
+def stochastic_image_is_free(m: StochMatrix) -> bool:
+    """Functor law probe: images of uniform matrices must be unital channels."""
+    return is_unital(embed_stochastic(m))
+
+
+def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> DensityMatrix:
+    """Trace out one tensor factor; keep is "A" or "B"."""
+    da, db = dims
+    if rho.dim != da * db:
+        raise DimensionMismatch(f"dim {rho.dim} does not factor as {da} * {db}")
+    blocks = rho.entries.reshape(da, db, da, db)
+    if keep == "A":
+        reduced = np.einsum("ijkj->ik", blocks)
+    elif keep == "B":
+        reduced = np.einsum("ijil->jl", blocks)
+    else:
+        raise ValueError(f'keep must be "A" or "B", got {keep!r}')
+    return DensityMatrix(reduced)

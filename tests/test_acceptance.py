@@ -8,12 +8,9 @@ import time
 import numpy as np
 import pytest
 
+from brute_force import bf_maximal_extension, bf_minimal_extension
 from conftest import bell_state, ghz3_state, product_state
-from kanext.bf_oracle import (
-    bf_maximal_extension,
-    bf_minimal_extension,
-    random_toy_problem,
-)
+from kanext.bf_oracle import random_toy_problem
 from kanext.kan import (
     ExtensionProblem,
     extension,
@@ -26,8 +23,6 @@ from kanext.prob import (
     INF,
     Dist,
     StochMatrix,
-    apply,
-    is_uniform_matrix,
     kl_divergence,
     majorizes,
     random_stochastic,
@@ -36,11 +31,8 @@ from kanext.prob import (
     simplex_grid,
 )
 from kanext.quantum import (
-    apply_channel,
     eig_hermitian,
     embed_classical,
-    embed_stochastic,
-    is_unital,
     locc_convertible_pure,
     measurement_entropy_search,
     random_density,
@@ -56,6 +48,7 @@ from kanext.theories import (
     identity_functor,
     make_monotone,
 )
+from maps import apply, apply_channel, embed_stochastic, is_uniform_matrix, is_unital
 
 REGISTRY = default_registry()
 

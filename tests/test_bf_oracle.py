@@ -3,6 +3,8 @@ import pytest
 
 from brute_force import (
     GridSpec,
+    bf_maximal_extension,
+    bf_minimal_extension,
     bf_uniform_map_search,
     grid_distributions,
     schmidt_number_upper_bound,
@@ -10,20 +12,13 @@ from brute_force import (
 from conftest import bell_state, ghz3_state, random_pure
 from kanext.bf_oracle import (
     ToyTheory,
-    bf_maximal_extension,
-    bf_minimal_extension,
     random_preorder,
     random_toy_problem,
 )
 from kanext.kan import extension
-from kanext.prob import (
-    Dist,
-    InvariantViolation,
-    apply,
-    is_uniform_matrix,
-    majorizes,
-)
+from kanext.prob import Dist, InvariantViolation, majorizes
 from kanext.quantum import DensityMatrix, schmidt_rank
+from maps import apply, is_uniform_matrix
 
 
 class TestGridSpec:

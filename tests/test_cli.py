@@ -510,6 +510,27 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert_one_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_finite_json_literals_exit_2(self, tmp_path, capsys, monkeypatch, constant,
+                                             source):
+        # the literal sits under a key no command reads, so only the parser
+        # can refuse it
+        text = ('{"command": "reach", "theory": "rand_uniform", "source": [0.7, 0.3], '
+                f'"target": [0.5, 0.5], "note": {constant}}}')
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            argv = ["--config", "-"]
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(text)
+            argv = ["--config", str(path)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err)
+        assert constant in captured.err
+
     @pytest.mark.parametrize("closed", ["write_raises", "pipe_without_reader"])
     def test_closed_stdout_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, closed):
         class WriteRaises:

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from brute_force import bf_maximal_extension, bf_minimal_extension
 from conftest import bell_state, product_state, sparse_dist
 from kanext import quantum, theories
 from kanext.kan import (
@@ -20,13 +21,13 @@ from kanext.pcat import (
     COVARIANT,
     Decision,
     MonotoneSpec,
+    OracleSoundnessError,
     ReachabilityOracle,
     ResourceRef,
 )
 from kanext.prob import (
     INF,
     Dist,
-    apply,
     random_uniform_matrix,
     relative_majorization_mask,
     shannon_entropy,
@@ -52,6 +53,7 @@ from kanext.theories import (
     identity_functor,
     make_monotone,
 )
+from maps import apply
 
 REGISTRY = default_registry()
 
@@ -531,8 +533,6 @@ class TestVerifyReduction:
         # (0.3, 0.7) is interreachable with the sample, so both extensions
         # attain the sample's own entropy even without the sample listed;
         # cross-checked by independent brute force over the candidate list
-        from kanext.bf_oracle import bf_maximal_extension, bf_minimal_extension
-
         prob = shannon_problem(COVARIANT, [Dist([0.3, 0.7]), Dist([0.5, 0.5])])
         sample = ResourceRef(RAND_UNIFORM, Dist([0.7, 0.3]))
         report = verify_reduction(prob, [sample])
@@ -635,3 +635,24 @@ class TestVerifyOptimality:
             verify_optimality_bruteforce(
                 prob, objects, (0.0, 0.5, 1.0, 2.0, INF), budget=1000
             )
+
+    @pytest.mark.parametrize(
+        "relation",
+        [[[True, True, False], [False, True, True], [False, False, True]],
+         [[True, False], [False, False]]],
+        ids=["intransitive", "irreflexive"],
+    )
+    def test_unsound_oracle_raises(self, relation):
+        rel = np.array(relation)
+        oracle = ReachabilityOracle(
+            "bad", lambda a, b: Decision(bool(rel[a.payload, b.payload])), exact=True
+        )
+        objects = [ResourceRef("bad", i) for i in range(len(rel))]
+        prob = ExtensionProblem(
+            MonotoneSpec("zero", lambda r: 0.0, COVARIANT),
+            identity_functor("bad"),
+            oracle,
+            (objects[0],),
+        )
+        with pytest.raises(OracleSoundnessError):
+            verify_optimality_bruteforce(prob, objects, (0.0, 1.0, INF))

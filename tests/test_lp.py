@@ -16,9 +16,6 @@ from kanext.lp import (
 from kanext.prob import (
     Dist,
     StochMatrix,
-    apply,
-    is_deterministic,
-    is_uniform_matrix,
     kl_divergence,
     majorizes,
     random_stochastic,
@@ -28,6 +25,7 @@ from kanext.prob import (
     simplex_grid,
 )
 from kanext.theories import rand_uniform_oracle
+from maps import apply, is_deterministic, is_uniform_matrix
 
 
 def brute_force_deterministic(p: Dist, q: Dist) -> bool:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from brute_force import check_monotone
 from kanext.pcat import (
     CONTRAVARIANT,
     COVARIANT,
@@ -9,19 +10,17 @@ from kanext.pcat import (
     OracleSoundnessError,
     ReachabilityOracle,
     ResourceRef,
-    check_monotone,
     ext_leq,
     preorder_collapse,
 )
 from kanext.prob import (
     INF,
     Dist,
-    apply,
-    random_deterministic,
     random_uniform_matrix,
     shannon_entropy,
 )
 from kanext.theories import RAND_DETMN, RAND_UNIFORM, default_registry
+from maps import apply, random_deterministic
 
 REGISTRY = default_registry()
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,24 +13,20 @@ from kanext.prob import (
     DimensionMismatch,
     INF,
     InvariantViolation,
-    LorenzCurve,
     StochMatrix,
-    apply,
-    ext_from_json,
     ext_to_json,
-    is_deterministic,
-    is_uniform_matrix,
     kl_divergence,
+    lorenz_csv,
     lorenz_curve,
     majorization_mask,
     majorizes,
-    random_deterministic,
     random_uniform_matrix,
     relative_majorization_mask,
     relatively_majorizes,
     shannon_entropy,
     simplex_grid,
 )
+from maps import apply, is_deterministic, is_uniform_matrix, random_deterministic
 
 
 def normalized(ws) -> Dist:
@@ -138,33 +135,27 @@ class TestKlDivergence:
 
 class TestLorenzCurve:
     def test_uniform_is_diagonal(self):
-        pts = lorenz_curve(Dist([0.5, 0.5])).points
+        pts = lorenz_curve(Dist([0.5, 0.5]))
         assert pts.tolist() == [[0, 0], [0.5, 0.5], [1, 1]]
 
     def test_sorts_increasing_first(self):
-        pts = lorenz_curve(Dist([0.7, 0.3])).points
+        pts = lorenz_curve(Dist([0.7, 0.3]))
         assert pts.tolist() == [[0, 0], [0.5, 0.3], [1, 1]]
 
     def test_point_mass_hugs_the_floor(self):
-        pts = lorenz_curve(Dist([1.0, 0.0])).points
+        pts = lorenz_curve(Dist([1.0, 0.0]))
         assert pts.tolist() == [[0, 0], [0.5, 0.0], [1, 1]]
 
     def test_csv_header_and_rows(self):
-        csv = lorenz_curve(Dist([0.7, 0.3])).to_csv()
+        csv = lorenz_csv(lorenz_curve(Dist([0.7, 0.3])))
         lines = csv.strip().split("\n")
         assert lines[0] == "x,y"
         assert len(lines) == 4
 
-    def test_invariants_enforced(self):
-        with pytest.raises(InvariantViolation):
-            LorenzCurve([[0, 0.1], [1, 1]])
-        with pytest.raises(InvariantViolation):
-            LorenzCurve([[0, 0], [0.5, 0.8], [0.5, 0.9], [1, 1]])
-
     def test_interpolates_between_knots(self):
-        curve = lorenz_curve(Dist([0.7, 0.3]))
-        assert curve.ordinate_at(0.25) == pytest.approx(0.15)
-        assert curve.ordinate_at(0.75) == pytest.approx(0.65)
+        x, y = lorenz_curve(Dist([0.7, 0.3])).T
+        assert np.interp(0.25, x, y) == pytest.approx(0.15)
+        assert np.interp(0.75, x, y) == pytest.approx(0.65)
 
 
 class TestRelativelyMajorizes:
@@ -297,10 +288,12 @@ class TestMajorizes:
         assert majorizes(Dist([0.7, 0.3]), Dist([0.5, 0.5]))
         assert not majorizes(Dist([0.5, 0.5]), Dist([0.7, 0.3]))
 
-    def test_zero_padding_across_lengths(self):
-        # (1) padded to (1, 0): a point mass majorizes everything
-        assert majorizes(Dist([1.0]), Dist([0.5, 0.5]))
-        assert not majorizes(Dist([0.5, 0.5]), Dist([1.0]))
+    def test_unequal_lengths_raise(self):
+        # zero-padding is Nielsen's business (quantum.locc_convertible_pure)
+        with pytest.raises(DimensionMismatch):
+            majorizes(Dist([1.0]), Dist([0.5, 0.5]))
+        with pytest.raises(DimensionMismatch):
+            majorizes(Dist([0.5, 0.5]), Dist([1.0]))
 
     def test_reflexive_and_transitive_on_samples(self, rng):
         dists = [Dist(rng.dirichlet(np.ones(4))) for _ in range(12)]
@@ -408,12 +401,7 @@ class TestSimplexGrid:
 class TestExtValueJson:
     def test_round_trip(self):
         assert ext_to_json(INF) == "inf"
-        assert ext_from_json("inf") == INF
-        assert ext_from_json(ext_to_json(1.5)) == 1.5
-
-    def test_rejects_negative(self):
-        with pytest.raises(InvariantViolation):
-            ext_from_json(-1.0)
+        assert json.loads(json.dumps(ext_to_json(1.5))) == 1.5
 
 
 @given(st.lists(st.floats(0.001, 1.0), min_size=1, max_size=8))
@@ -436,6 +424,7 @@ def test_everything_majorizes_uniform(ws):
 def test_majorization_orders_entropy(ws, vs):
     # padding with zeros changes neither entropy, so Schur concavity holds
     # across lengths as well
-    p, q = normalized(ws), normalized(vs)
+    n = max(len(ws), len(vs))
+    p, q = (normalized(w + [0.0] * (n - len(w))) for w in (ws, vs))
     if majorizes(p, q):
         assert shannon_entropy(p) <= shannon_entropy(q) + 1e-9

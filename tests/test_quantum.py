@@ -3,22 +3,16 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from conftest import bell_state, ghz3_state, product_state, random_pure
-from kanext.prob import Dist, DimensionMismatch, InvariantViolation, StochMatrix, apply, shannon_entropy
+from conftest import bell_state, ghz3_state, low_rank_pure, product_state, random_pure
+from kanext.prob import Dist, DimensionMismatch, InvariantViolation, StochMatrix, shannon_entropy
 from kanext.quantum import (
     BipartitePure,
     DensityMatrix,
-    KrausChannel,
-    apply_channel,
     eig_hermitian,
     embed_classical,
-    embed_stochastic,
     haar_basis,
-    is_unital,
     locc_convertible_pure,
     measurement_entropy_search,
-    partial_trace,
-    preparation_entropy,
     random_density,
     random_unitary,
     schmidt_coefficients,
@@ -26,6 +20,15 @@ from kanext.quantum import (
     spectral_entropy,
 )
 from kanext.prob import random_stochastic, random_uniform_matrix
+from maps import (
+    KrausChannel,
+    apply,
+    apply_channel,
+    embed_stochastic,
+    is_uniform_matrix,
+    is_unital,
+    partial_trace,
+)
 
 
 def diag_state(*weights) -> DensityMatrix:
@@ -49,10 +52,30 @@ class TestDensityMatrix:
         with pytest.raises(InvariantViolation):
             DensityMatrix(np.eye(17) / 17)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [[[np.nan, 0], [0, 0.5]], [[0.5, np.nan], [np.nan, 0.5]], [[0.5, np.inf], [np.inf, 0.5]]],
+        ids=["nan_diagonal", "nan_off_diagonal", "inf_off_diagonal"],
+    )
+    def test_rejects_non_finite_entries(self, entries):
+        with pytest.raises(InvariantViolation):
+            DensityMatrix(np.array(entries, dtype=complex))
+
     def test_json_round_trip(self):
         rho = DensityMatrix(np.array([[0.5, 0.5j], [-0.5j, 0.5]]))
         again = DensityMatrix.from_json(rho.to_json())
         assert np.allclose(again.entries, rho.entries)
+
+
+class TestBipartitePure:
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(InvariantViolation):
+            BipartitePure(np.array([np.nan, 0, 0, 1.0]), (2, 2))
+
+    @pytest.mark.parametrize("dims", [(-1, -4), (-2, -2)])
+    def test_rejects_non_positive_dims(self, dims):
+        with pytest.raises(InvariantViolation):
+            BipartitePure(np.eye(4)[0], dims)
 
 
 class TestEigHermitian:
@@ -208,8 +231,6 @@ class TestIsUnital:
         for _ in range(40):
             n, k = int(rng.integers(2, 5)), int(rng.integers(2, 5))
             m = random_stochastic(rng, n, k)
-            from kanext.prob import is_uniform_matrix
-
             assert is_unital(embed_stochastic(m)) == is_uniform_matrix(m)
 
 
@@ -231,13 +252,13 @@ class TestEntropies:
             p = Dist(rng.dirichlet(np.ones(4)))
             assert abs(spectral_entropy(embed_classical(p)) - shannon_entropy(p)) <= 1e-10
 
-    def test_preparation_entropy_closed_form(self, rng):
-        assert preparation_entropy(DensityMatrix.maximally_mixed(2)) == pytest.approx(1.0)
-        assert preparation_entropy(diag_state(0.75, 0.25)) == pytest.approx(
+    def test_spectral_entropy_closed_form(self, rng):
+        assert spectral_entropy(DensityMatrix.maximally_mixed(2)) == pytest.approx(1.0)
+        assert spectral_entropy(diag_state(0.75, 0.25)) == pytest.approx(
             shannon_entropy(Dist([0.75, 0.25]))
         )
         psi = random_pure(rng, (2, 2))
-        assert preparation_entropy(psi.projector()) == pytest.approx(0.0, abs=1e-9)
+        assert spectral_entropy(psi.projector()) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestMeasurementEntropySearch:
@@ -334,6 +355,23 @@ class TestSchmidt:
             rotated = BipartitePure(np.kron(u, v) @ psi.state_vector, (2, 3))
             assert schmidt_rank(rotated) == schmidt_rank(psi)
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (1, 4), (4, 2), (3, 3)])
+    def test_matches_reduced_state_spectra(self, rng, dims):
+        # the squared singular values against the spectra of both reduced
+        # states, at full and deficient rank
+        k = min(dims)
+        for rank in range(1, k + 1):
+            for _ in range(5):
+                psi = low_rank_pure(rng, dims, rank)
+                coeffs = schmidt_coefficients(psi).weights
+                assert len(coeffs) == k
+                for keep in ("A", "B"):
+                    reduced = partial_trace(psi.projector(), dims, keep)
+                    spectrum = eig_hermitian(reduced).eigenvalues.weights
+                    assert np.max(np.abs(spectrum[:k] - coeffs)) <= 1e-12
+                    assert np.all(spectrum[k:] <= 1e-12)
+                assert schmidt_rank(psi) == rank
+
 
 class TestLoccConvertible:
     def test_reflexive(self, rng):
@@ -352,3 +390,34 @@ class TestLoccConvertible:
             np.eye(9, dtype=complex)[0], (3, 3)
         )
         assert locc_convertible_pure(bell_state(), big_product)
+
+    def test_zero_padding_across_lengths(self):
+        # Schmidt vectors (1) and (1/2, 1/2): the first, padded to (1, 0),
+        # majorizes everything
+        trivial = BipartitePure(np.ones(1), (1, 1))
+        assert locc_convertible_pure(bell_state(), trivial)
+        assert not locc_convertible_pure(trivial, bell_state())
+
+    def test_unequal_schmidt_lengths_match_padded_reduced_spectra(self, rng):
+        # independent path: descending partial sums of the zero-padded
+        # spectra of the reduced states on A
+        shapes = [(1, 2), (2, 2), (2, 3), (3, 3), (4, 2), (3, 4)]
+        states = [
+            low_rank_pure(rng, dims, int(rng.integers(1, min(dims) + 1)))
+            for dims in shapes
+            for _ in range(4)
+        ]
+
+        def partial_sums(psi, n):
+            reduced = partial_trace(psi.projector(), psi.dims, "A")
+            w = eig_hermitian(reduced).eigenvalues.weights
+            return np.cumsum(np.concatenate([w, np.zeros(n - len(w))]))
+
+        hits = 0
+        for phi in states:
+            for psi in states:
+                n = max(phi.dims[0], psi.dims[0])
+                want = bool(np.all(partial_sums(phi, n) <= partial_sums(psi, n) + 1e-10))
+                assert locc_convertible_pure(phi, psi) == want
+                hits += want and len(schmidt_coefficients(phi)) != len(schmidt_coefficients(psi))
+        assert hits > 0

@@ -24,6 +24,29 @@ def bare_small_floats(tree: ast.Module) -> list[tuple[int, float]]:
     ]
 
 
+def unreferenced_public_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Public module-level functions and classes, as "module.name", that no
+    top-level statement of the given modules other than their own
+    definition names (as a bare name or an attribute)."""
+    names_in = {
+        id(stmt): {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(stmt)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        for tree in trees.values()
+        for stmt in tree.body
+    }
+    return [
+        f"{module}.{stmt.name}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and not any(stmt.name in names for key, names in names_in.items() if key != id(stmt))
+    ]
+
+
 def test_sources_are_found():
     assert {"prob.py", "kan.py", "theories.py"} <= {path.name for path in SOURCES}
 
@@ -40,3 +63,20 @@ def test_tolerances_are_named_constants():
 def test_guard_flags_a_bare_tolerance():
     tree = ast.parse("TOL = 1e-9\n\ndef f(x):\n    return x < 1e-9 or x == 0.5 or x == 0.0\n")
     assert bare_small_floats(tree) == [(4, 1e-9)]
+
+
+def test_every_public_name_is_used_in_the_package():
+    trees = {
+        path.stem: ast.parse(path.read_text(), str(path))
+        for path in SOURCES
+        if path.name != "__init__.py"
+    }
+    assert unreferenced_public_names(trees) == []
+
+
+def test_guard_flags_an_unreferenced_public_name():
+    used = ast.parse(
+        "def f():\n    return g()\n\ndef g():\n    return 1\n\ndef _h():\n    return f\n"
+    )
+    unused = ast.parse("class C:\n    def g(self):\n        return C\n")
+    assert unreferenced_public_names({"a": used, "b": unused}) == ["b.C"]

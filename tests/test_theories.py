@@ -11,17 +11,13 @@ from kanext.pcat import COVARIANT, ResourceRef
 from kanext.prob import (
     Dist,
     StochMatrix,
-    apply,
-    is_uniform_matrix,
     random_stochastic,
     random_uniform_matrix,
     simplex_grid,
 )
 from kanext.quantum import (
     DensityMatrix,
-    apply_channel,
     embed_classical,
-    embed_stochastic,
     random_density,
     random_unitary,
 )
@@ -42,6 +38,12 @@ from kanext.theories import (
     qrand_quniform_oracle,
     rand_detmn_oracle,
     rand_uniform_oracle,
+)
+from maps import (
+    apply,
+    apply_channel,
+    embed_stochastic,
+    is_uniform_matrix,
     stochastic_image_is_free,
 )
 
