@@ -39,7 +39,6 @@ from .pcat import (
     COVARIANT,
     Decision,
     MonotoneSpec,
-    PreorderRelation,
     ReachabilityOracle,
     ResourceRef,
     preorder_collapse,

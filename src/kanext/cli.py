@@ -78,18 +78,12 @@ SAMPLES_CAP = 1_000
 BASES_CAP = 1_000
 LENGTH_CAP = 16
 MAX_OBJECTS_CAP = 16
+# Longest distribution, or pair component, a payload may hold: the lengths
+# over which prob.ORDER_SLACK bounds the rounding of the order tests.
+PAYLOAD_LENGTH_CAP = 64
 # Most that either extension at a state may differ from its von Neumann
 # entropy in the coincidence check.
 COINCIDENCE_TOL = 1e-6
-
-PROPERTIES = (
-    "reduction",
-    "monotonicity",
-    "optimality",
-    "hlp_agreement",
-    "data_processing",
-    "coincidence",
-)
 
 
 class ConfigError(ValueError):
@@ -110,12 +104,18 @@ def _text(cfg: dict, key: str) -> str:
 
 
 def _number(value, key: str, kind: type = int, at_least=None, at_most=None):
-    """``kind(value)`` for the config value under ``key``; a value that is
-    no number (null, a list, an object, text) or lies outside ``[at_least,
-    at_most]`` is a ConfigError naming the key."""
+    """The config value under ``key`` as a ``kind``.  An integer key takes
+    a JSON integer, a float key any JSON number; any other value (a bool,
+    text, null, a list, an object, or a fraction where an integer is due)
+    or one outside ``[at_least, at_most]`` is a ConfigError naming the
+    key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    if kind is int and not isinstance(value, int):
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
     try:
         number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from exc
     if at_least is not None and number < at_least:
         raise ConfigError(f"config key {key!r} must be at least {at_least}, got {number}")
@@ -132,14 +132,24 @@ def _length(cfg: dict, key: str, default: int) -> int:
     return _number(cfg.get(key, default), key, at_least=1, at_most=LENGTH_CAP)
 
 
+def _dist(data) -> Dist:
+    """A distribution payload, its length checked before it is built."""
+    weights = np.asarray(data, dtype=float)
+    if weights.size > PAYLOAD_LENGTH_CAP:
+        raise ConfigError(
+            f"length {weights.size} is over the cap of {PAYLOAD_LENGTH_CAP}"
+        )
+    return Dist(weights)
+
+
 def parse_payload(kind: str, data):
     """Decode one object payload according to its theory's object kind."""
     try:
         if kind == "dist":
-            return Dist(np.asarray(data, dtype=float))
+            return _dist(data)
         if kind == "dist_pair":
             p, q = data
-            return (Dist(np.asarray(p, dtype=float)), Dist(np.asarray(q, dtype=float)))
+            return (_dist(p), _dist(q))
         if kind == "density":
             return DensityMatrix(complex_matrix_from_json(data))
         if kind == "density_pair":
@@ -149,7 +159,11 @@ def parse_payload(kind: str, data):
                 DensityMatrix(complex_matrix_from_json(b)),
             )
         if kind == "pure":
-            return BipartitePure.from_json(data)
+            da, db = (
+                _number(d, "dims", at_least=1, at_most=DIMENSION_CAP) for d in data["dims"]
+            )
+            vec = np.array([complex(re, im) for re, im in data["state"]])
+            return BipartitePure(vec, (da, db))
     except (InvariantViolation, TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"bad {kind} object: {exc}") from exc
     raise ConfigError(f"unknown object kind {kind!r}")
@@ -294,8 +308,7 @@ def _verify_reduction(cfg: dict, rng: np.random.Generator) -> dict:
     length = _length(cfg, "length", 3)
     dists = tuple(Dist(rng.dirichlet(np.ones(length))) for _ in range(samples))
     problem = _shannon_embedding_problem(dists)
-    report = verify_reduction(problem, list(problem.candidates))
-    return report.to_json()
+    return verify_reduction(problem, list(problem.candidates))
 
 
 def _verify_monotonicity(cfg: dict, rng: np.random.Generator) -> dict:
@@ -335,8 +348,7 @@ def _verify_monotonicity(cfg: dict, rng: np.random.Generator) -> dict:
             )
     else:
         raise ConfigError(f"monotonicity check does not cover theory {theory_id!r}")
-    report = verify_monotonicity(problem, pairs)
-    return report.to_json()
+    return verify_monotonicity(problem, pairs)
 
 
 def _verify_optimality(cfg: dict, rng: np.random.Generator) -> dict:
@@ -348,8 +360,8 @@ def _verify_optimality(cfg: dict, rng: np.random.Generator) -> dict:
     for i in range(samples):
         problem, objects, grid = random_toy_problem(rng, max_objects=max_objects)
         report = verify_optimality_bruteforce(problem, objects, grid)
-        if not report.passed:
-            violations.append({"problem": i, "violations": list(report.violations)})
+        if not report["passed"]:
+            violations.append({"problem": i, "violations": report["violations"]})
     return {"passed": not violations, "checked": samples, "violations": violations}
 
 
@@ -447,8 +459,8 @@ _VERIFIERS = {
 
 def cmd_verify(cfg: dict) -> tuple[int, dict]:
     prop = _require(cfg, "property")
-    if prop not in PROPERTIES:
-        raise ConfigError(f"unknown property {prop!r}; known: {', '.join(PROPERTIES)}")
+    if not isinstance(prop, str) or prop not in _VERIFIERS:
+        raise ConfigError(f"unknown property {prop!r}; known: {', '.join(_VERIFIERS)}")
     rng = np.random.default_rng(_number(cfg.get("seed", 0), "seed"))
     result = _VERIFIERS[prop](cfg, rng)
     doc = {

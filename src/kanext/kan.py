@@ -221,100 +221,51 @@ def _ordered(a: ExtValue, b: ExtValue, ascending: bool, slack: float = 0.0) -> b
     return ext_leq(a, b, slack) if ascending else ext_leq(b, a, slack)
 
 
-@dataclass(frozen=True)
-class SandwichSample:
-    source: ResourceRef
-    minimal: ExtValue
-    value: ExtValue
-    maximal: ExtValue
-    ok: bool
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    samples: tuple[SandwichSample, ...]
-    passed: bool
-    equalities: int
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checked": len(self.samples),
-            "equalities": self.equalities,
-            "violations": [
-                {
-                    "source": s.source.describe(),
-                    "minimal": ext_to_json(s.minimal),
-                    "value": ext_to_json(s.value),
-                    "maximal": ext_to_json(s.maximal),
-                }
-                for s in self.samples
-                if not s.ok
-            ],
-        }
-
-
-def verify_reduction(
-    prob: ExtensionProblem, samples: list[ResourceRef]
-) -> SandwichReport:
+def verify_reduction(prob: ExtensionProblem, samples: list[ResourceRef]) -> dict:
     """Check the sandwich min-ext <= M <= max-ext on images of samples.
 
     Orientation flips for contravariant monotones: a side that takes an inf
     lies below M, a side that takes a sup above it.  Guaranteed whenever
     each sample appears among the candidates and the oracle is exact;
-    reported honestly either way.
+    reported honestly either way.  Returns the verify document: ``passed``,
+    ``checked``, one violation per sample outside its sandwich, and
+    ``equalities``, the samples where both extensions agree.
     """
     covariant = prob.monotone.variance == COVARIANT
-    rows = []
+    violations = []
     equalities = 0
     for x in samples:
         y = prob.functor.map_object(x)
         lo, hi = (side.value for side in extension(prob, y))
         v = prob.monotone.evaluate(x)
-        ok = _ordered(lo, v, covariant, VALUE_SLACK) and _ordered(
-            hi, v, not covariant, VALUE_SLACK
-        )
+        if not (
+            _ordered(lo, v, covariant, VALUE_SLACK)
+            and _ordered(hi, v, not covariant, VALUE_SLACK)
+        ):
+            violations.append({
+                "source": x.describe(),
+                "minimal": ext_to_json(lo),
+                "value": ext_to_json(v),
+                "maximal": ext_to_json(hi),
+            })
         if ext_leq(lo, hi, VALUE_SLACK) and ext_leq(hi, lo, VALUE_SLACK):
             equalities += 1
-        rows.append(SandwichSample(x, lo, v, hi, ok))
-    return SandwichReport(tuple(rows), all(r.ok for r in rows), equalities)
-
-
-@dataclass(frozen=True)
-class MonotonicityCheck:
-    lower: ResourceRef
-    upper: ResourceRef
-    minimal_ok: bool
-    maximal_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.minimal_ok and self.maximal_ok
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    checks: tuple[MonotonicityCheck, ...]
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checked": len(self.checks),
-            "violations": [
-                {"from": c.lower.describe(), "to": c.upper.describe()}
-                for c in self.checks
-                if not c.ok
-            ],
-        }
+    return {
+        "passed": not violations,
+        "checked": len(samples),
+        "equalities": equalities,
+        "violations": violations,
+    }
 
 
 def verify_monotonicity(
     prob: ExtensionProblem, target_pairs: list[tuple[ResourceRef, ResourceRef]]
-) -> MonotonicityReport:
-    """Extensions must respect each supplied free arrow Y -> Y'."""
+) -> dict:
+    """Extensions must respect each supplied free arrow Y -> Y'.  Returns
+    the verify document, with one violation per pair that either extension
+    fails to respect."""
     covariant = prob.monotone.variance == COVARIANT
-    checks = []
+    violations = []
     for y, y2 in target_pairs:
         if not prob.target_oracle.decide(y, y2).reachable:
             raise ValueError(
@@ -322,33 +273,12 @@ def verify_monotonicity(
             )
         lo, hi = extension(prob, y)
         lo2, hi2 = extension(prob, y2)
-        checks.append(
-            MonotonicityCheck(
-                y,
-                y2,
-                _ordered(lo.value, lo2.value, covariant, VALUE_SLACK),
-                _ordered(hi.value, hi2.value, covariant, VALUE_SLACK),
-            )
-        )
-    return MonotonicityReport(tuple(checks), all(c.ok for c in checks))
-
-
-@dataclass(frozen=True)
-class OptimalityReport:
-    passed: bool
-    competitors_minimal: int
-    competitors_maximal: int
-    violations: tuple[str, ...]
-    minimal_values: tuple[ExtValue, ...]
-    maximal_values: tuple[ExtValue, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "competitors_minimal": self.competitors_minimal,
-            "competitors_maximal": self.competitors_maximal,
-            "violations": list(self.violations),
-        }
+        if not (
+            _ordered(lo.value, lo2.value, covariant, VALUE_SLACK)
+            and _ordered(hi.value, hi2.value, covariant, VALUE_SLACK)
+        ):
+            violations.append({"from": y.describe(), "to": y2.describe()})
+    return {"passed": not violations, "checked": len(target_pairs), "violations": violations}
 
 
 def _enumerate_monotones(relation, grid, bounds, upper, covariant):
@@ -389,7 +319,7 @@ def verify_optimality_bruteforce(
     target_objects: list[ResourceRef],
     value_grid: tuple[ExtValue, ...],
     budget: int = 5_000_000,
-) -> OptimalityReport:
+) -> dict:
     """Enumerate every competitor monotone on a finite target theory and
     confirm the universal property of both extensions.
 
@@ -403,7 +333,9 @@ def verify_optimality_bruteforce(
 
     The free relation comes from ``pcat.preorder_collapse``, so an oracle
     that is inexact, irreflexive or intransitive on the target objects
-    raises before any competitor is enumerated.
+    raises before any competitor is enumerated.  Returns ``passed``, one
+    message per beaten extension value in ``violations``, and the number
+    of competitors enumerated for each side.
     """
     n = len(target_objects)
     if len(value_grid) ** n > budget:
@@ -411,7 +343,7 @@ def verify_optimality_bruteforce(
             f"{len(value_grid)}^{n} assignments exceed budget {budget}"
         )
     covariant = prob.monotone.variance == COVARIANT
-    relation = preorder_collapse(prob.target_oracle, target_objects).relation
+    relation = preorder_collapse(prob.target_oracle, target_objects)
 
     index_of = {id(ref): i for i, ref in enumerate(target_objects)}
 
@@ -461,11 +393,9 @@ def verify_optimality_bruteforce(
                     )
         counts.append(count)
 
-    return OptimalityReport(
-        passed=not violations,
-        competitors_minimal=counts[0],
-        competitors_maximal=counts[1],
-        violations=tuple(violations),
-        minimal_values=minimal_values,
-        maximal_values=maximal_values,
-    )
+    return {
+        "passed": not violations,
+        "competitors_minimal": counts[0],
+        "competitors_maximal": counts[1],
+        "violations": violations,
+    }

@@ -53,10 +53,6 @@ class LpFeasibility:
         object.__setattr__(self, "a_eq", a)
         object.__setattr__(self, "b_eq", b)
 
-    @property
-    def n_vars(self) -> int:
-        return self.a_eq.shape[1]
-
 
 @dataclass(frozen=True)
 class FeasResult:
@@ -68,15 +64,6 @@ class FeasResult:
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
-
-    def to_json(self) -> dict:
-        doc: dict = {"status": self.status}
-        if self.witness is not None:
-            if hasattr(self.witness, "to_json"):
-                doc["witness"] = self.witness.to_json()
-            else:
-                doc["witness"] = np.asarray(self.witness).tolist()
-        return doc
 
 
 def solve_feasibility(problem: LpFeasibility) -> FeasResult:

@@ -8,7 +8,6 @@ contravariant (values shrink).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -47,9 +46,6 @@ class ResourceRef:
     payload: Any
 
     def describe(self) -> str:
-        label = getattr(self.payload, "label", None)
-        if label:
-            return label
         payload = self.payload
         if hasattr(payload, "weights"):
             body = "[" + ", ".join(f"{w:.6g}" for w in payload.weights) + "]"
@@ -130,60 +126,14 @@ class MonotoneSpec:
             raise ValueError(f"unknown variance {self.variance!r}")
 
 
-@dataclass(frozen=True)
-class PreorderRelation:
-    """Reachability restricted to a finite object list; checked on build."""
-
-    objects: tuple[ResourceRef, ...]
-    relation: np.ndarray
-
-    def __post_init__(self):
-        rel = np.asarray(self.relation, dtype=bool)
-        n = len(self.objects)
-        if rel.shape != (n, n):
-            raise ValueError(f"relation shape {rel.shape} vs {n} objects")
-        for i in range(n):
-            if not rel[i, i]:
-                raise OracleSoundnessError(
-                    f"irreflexive oracle: object {i} does not reach itself"
-                )
-        composed = rel @ rel
-        bad = composed & ~rel
-        if bad.any():
-            i, k = map(int, np.argwhere(bad)[0])
-            j = int(np.nonzero(rel[i] & rel[:, k])[0][0])
-            raise OracleSoundnessError(
-                f"intransitive oracle: {i} -> {j} -> {k} but not {i} -> {k}"
-            )
-        rel.setflags(write=False)
-        object.__setattr__(self, "relation", rel)
-        object.__setattr__(self, "objects", tuple(self.objects))
-
-    def to_json(self) -> dict:
-        return {
-            "objects": [ref.describe() for ref in self.objects],
-            "adjacency": self.relation.astype(int).tolist(),
-        }
-
-    def to_dot(self) -> str:
-        lines = ["digraph preorder {"]
-        for idx, ref in enumerate(self.objects):
-            lines.append(f'  n{idx} [label={json.dumps(ref.describe())}];')
-        n = len(self.objects)
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.relation[i, j]:
-                    lines.append(f"  n{i} -> n{j};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
-def preorder_collapse(
-    oracle: ReachabilityOracle, objects: list[ResourceRef]
-) -> PreorderRelation:
-    """Forget witnesses, keep reachability, over a finite object list.
+def preorder_collapse(oracle: ReachabilityOracle, objects: list[ResourceRef]) -> np.ndarray:
+    """Forget witnesses, keep reachability, over a finite object list: the
+    read-only (n, n) boolean relation whose (i, j) entry says whether
+    object i reaches object j.
 
     Requires an exact oracle; an inexact relation is not a preorder claim.
+    A relation that is not reflexive and transitive raises
+    OracleSoundnessError naming an object or triple that breaks it.
     """
     if not oracle.exact:
         raise ValueError("preorder collapse requires an exact oracle")
@@ -197,4 +147,17 @@ def preorder_collapse(
                     f"oracle returned an inexact decision for pair ({i}, {j})"
                 )
             rel[i, j] = d.reachable
-    return PreorderRelation(tuple(objects), rel)
+    for i in range(n):
+        if not rel[i, i]:
+            raise OracleSoundnessError(
+                f"irreflexive oracle: object {i} does not reach itself"
+            )
+    bad = (rel @ rel) & ~rel
+    if bad.any():
+        i, k = map(int, np.argwhere(bad)[0])
+        j = int(np.nonzero(rel[i] & rel[:, k])[0][0])
+        raise OracleSoundnessError(
+            f"intransitive oracle: {i} -> {j} -> {k} but not {i} -> {k}"
+        )
+    rel.setflags(write=False)
+    return rel

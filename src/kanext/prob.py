@@ -24,11 +24,12 @@ NORMALIZATION_TOL = 1e-9
 # Entry/row-sum checks after repair.
 STOCHASTIC_TOL = 1e-12
 # Slack for ordinate comparisons in majorization and relative majorization
-# (covers cumsum and hockey-stick summation error, n <= 64).  It is tighter
-# than lp.FEAS_TOL (1e-9): it bounds the rounding of one closed-form sum of
-# at most 2n products of weights, while FEAS_TOL bounds the residual of a
-# simplex run whose pivots compound their rounding.  The LP cross-checks in
-# the tests nudge images by 1e-7 to 1e-3, far beyond both tolerances.
+# (covers cumsum and hockey-stick summation error, n <= 64, the longest
+# payload cli.PAYLOAD_LENGTH_CAP admits).  It is tighter than lp.FEAS_TOL
+# (1e-9): it bounds the rounding of one closed-form sum of at most 2n
+# products of weights, while FEAS_TOL bounds the residual of a simplex run
+# whose pivots compound their rounding.  The LP cross-checks in the tests
+# nudge images by 1e-7 to 1e-3, far beyond both tolerances.
 ORDER_SLACK = 1e-10
 # A grid step divides 1 when 1/step times step is within this of 1.
 STEP_TOL = 1e-12
@@ -59,10 +60,9 @@ def ext_to_json(value: ExtValue):
 
 @dataclass(frozen=True)
 class Dist:
-    """A finite probability distribution with an optional label."""
+    """A finite probability distribution."""
 
     weights: np.ndarray
-    label: str | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).reshape(-1)
@@ -83,21 +83,11 @@ class Dist:
         return self.weights.size
 
     @staticmethod
-    def uniform(n: int, label: str | None = None) -> "Dist":
-        return Dist(np.full(n, 1.0 / n), label)
-
-    @staticmethod
-    def point_mass(n: int, outcome: int = 0, label: str | None = None) -> "Dist":
-        w = np.zeros(n)
-        w[outcome] = 1.0
-        return Dist(w, label)
+    def uniform(n: int) -> "Dist":
+        return Dist(np.full(n, 1.0 / n))
 
     def to_json(self) -> list[float]:
         return [float(x) for x in self.weights]
-
-    @classmethod
-    def from_json(cls, data, label: str | None = None) -> "Dist":
-        return cls(np.asarray(data, dtype=float), label)
 
 
 @dataclass(frozen=True)
@@ -120,20 +110,8 @@ class StochMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
-    @staticmethod
-    def identity(n: int) -> "StochMatrix":
-        return StochMatrix(np.eye(n))
-
     def to_json(self) -> list[list[float]]:
         return [[float(x) for x in row] for row in self.entries]
-
-    @classmethod
-    def from_json(cls, data) -> "StochMatrix":
-        return cls(np.asarray(data, dtype=float))
 
 
 def shannon_entropy(p: Dist) -> ExtValue:

@@ -70,17 +70,6 @@ class DensityMatrix:
         """
         return eig_hermitian(self)
 
-    @staticmethod
-    def maximally_mixed(d: int) -> "DensityMatrix":
-        return DensityMatrix(np.eye(d) / d)
-
-    def to_json(self) -> list:
-        return complex_matrix_to_json(self.entries)
-
-    @classmethod
-    def from_json(cls, data) -> "DensityMatrix":
-        return cls(complex_matrix_from_json(data))
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -111,27 +100,9 @@ class BipartitePure:
         object.__setattr__(self, "state_vector", v)
         object.__setattr__(self, "dims", (int(da), int(db)))
 
-    def projector(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.state_vector, self.state_vector.conj()))
-
-    def to_json(self) -> dict:
-        return {
-            "state": [[float(z.real), float(z.imag)] for z in self.state_vector],
-            "dims": list(self.dims),
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "BipartitePure":
-        vec = np.array([complex(re, im) for re, im in data["state"]])
-        return cls(vec, tuple(data["dims"]))
-
-
-def complex_matrix_to_json(m: np.ndarray) -> list:
-    """Nested [re, im] pairs, row-major."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-
 
 def complex_matrix_from_json(data) -> np.ndarray:
+    """A complex matrix from nested [re, im] pairs, row-major."""
     return np.array([[complex(re, im) for re, im in row] for row in data])
 
 

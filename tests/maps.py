@@ -1,9 +1,11 @@
-"""Stochastic maps and quantum channels that only the tests apply.
+"""Stochastic maps, quantum channels and states that only the tests build.
 
 Pushing distributions through matrices, predicates on matrices, Kraus
 channels with the measure-and-reassign embedding of stochastic matrices,
-and the partial trace.  The CLI decides reachability without applying a
-map or a channel, so none of this ships in the package.
+the partial trace, the maximally mixed state, projectors of pure states
+and the JSON encoding of complex matrices.  The CLI decides reachability
+without applying a map or a channel and reads matrices without writing
+them, so none of this ships in the package.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kanext.prob import STOCHASTIC_TOL, DimensionMismatch, Dist, InvariantViolation, StochMatrix
-from kanext.quantum import DensityMatrix
+from kanext.quantum import BipartitePure, DensityMatrix
 
 # Kraus operators B_i must satisfy sum B_i^dag B_i = I to within this.
 COMPLETENESS_TOL = 1e-9
@@ -23,8 +25,10 @@ UNITAL_TOL = 1e-9
 
 def apply(p: Dist, m: StochMatrix) -> Dist:
     """Push p through the stochastic map: returns p @ M."""
-    if len(p) != m.shape[0]:
-        raise DimensionMismatch(f"distribution of length {len(p)} vs matrix {m.shape}")
+    if len(p) != m.entries.shape[0]:
+        raise DimensionMismatch(
+            f"distribution of length {len(p)} vs matrix {m.entries.shape}"
+        )
     return Dist(p.weights @ m.entries)
 
 
@@ -39,7 +43,7 @@ def is_uniform_matrix(m: StochMatrix) -> bool:
 
     Square uniform matrices are exactly the doubly stochastic ones.
     """
-    n, k = m.shape
+    n, k = m.entries.shape
     return bool(np.all(np.abs(m.entries.sum(axis=0) - n / k) <= STOCHASTIC_TOL))
 
 
@@ -84,7 +88,7 @@ def embed_stochastic(m: StochMatrix) -> KrausChannel:
     Acts on diagonal states exactly as M acts on distributions, and kills
     off-diagonal terms (measure in the basis, then reassign).
     """
-    n, k = m.shape
+    n, k = m.entries.shape
     ops = []
     for i in range(n):
         for j in range(k):
@@ -103,7 +107,7 @@ def apply_channel(chan: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 
 def is_unital(chan: KrausChannel) -> bool:
     """True iff the maximally mixed input maps to the maximally mixed output."""
-    image = apply_channel(chan, DensityMatrix.maximally_mixed(chan.in_dim))
+    image = apply_channel(chan, maximally_mixed(chan.in_dim))
     target = np.eye(chan.out_dim) / chan.out_dim
     return bool(np.max(np.abs(image.entries - target)) <= UNITAL_TOL)
 
@@ -126,3 +130,17 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> Densi
     else:
         raise ValueError(f'keep must be "A" or "B", got {keep!r}')
     return DensityMatrix(reduced)
+
+
+def maximally_mixed(d: int) -> DensityMatrix:
+    return DensityMatrix(np.eye(d) / d)
+
+
+def projector(psi: BipartitePure) -> DensityMatrix:
+    """The pure state |psi><psi| as a density matrix."""
+    return DensityMatrix(np.outer(psi.state_vector, psi.state_vector.conj()))
+
+
+def complex_matrix_to_json(m: np.ndarray) -> list:
+    """Nested [re, im] pairs, row-major: what the CLI reads as a matrix."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]

@@ -149,9 +149,9 @@ def test_criterion_4_reduction_monotonicity_optimality():
                 mismatches += 1
             if hi.value != bf_maximal_extension(problem, y):
                 mismatches += 1
-        if not verify_reduction(problem, list(problem.candidates)).passed:
+        if not verify_reduction(problem, list(problem.candidates))["passed"]:
             sandwich_failures += 1
-        if not verify_optimality_bruteforce(problem, objects, grid).passed:
+        if not verify_optimality_bruteforce(problem, objects, grid)["passed"]:
             optimality_failures += 1
     elapsed = time.time() - start
     ok = (

@@ -18,7 +18,7 @@ from kanext.bf_oracle import (
 from kanext.kan import extension
 from kanext.prob import Dist, InvariantViolation, majorizes
 from kanext.quantum import DensityMatrix, schmidt_rank
-from maps import apply, is_uniform_matrix
+from maps import apply, is_uniform_matrix, maximally_mixed, projector
 
 
 class TestGridSpec:
@@ -118,7 +118,7 @@ class TestBfUniformMapSearch:
 
 class TestSchmidtNumberUpperBound:
     def test_bell_projector(self):
-        rho = bell_state().projector()
+        rho = projector(bell_state())
         assert schmidt_number_upper_bound(rho, (2, 2), trials=10, seed=1) == 2
 
     def test_orthogonal_product_mixture(self):
@@ -128,27 +128,27 @@ class TestSchmidtNumberUpperBound:
         assert schmidt_number_upper_bound(rho, (2, 2), trials=10, seed=2) == 1
 
     def test_maximally_mixed_two_qubits(self):
-        rho = DensityMatrix.maximally_mixed(4)
+        rho = maximally_mixed(4)
         assert schmidt_number_upper_bound(rho, (2, 2), trials=20, seed=3) <= 2
 
     def test_matches_rank_on_pure_states(self, rng):
         for dims in ((2, 2), (2, 3), (3, 3)):
             psi = random_pure(rng, dims)
-            bound = schmidt_number_upper_bound(psi.projector(), dims, trials=5, seed=4)
+            bound = schmidt_number_upper_bound(projector(psi), dims, trials=5, seed=4)
             assert bound == schmidt_rank(psi)
 
     def test_never_below_rank_on_pure_states(self, rng):
         for _ in range(10):
             psi = random_pure(rng, (2, 2))
-            bound = schmidt_number_upper_bound(psi.projector(), (2, 2), trials=3, seed=5)
+            bound = schmidt_number_upper_bound(projector(psi), (2, 2), trials=3, seed=5)
             assert bound >= schmidt_rank(psi)
 
     def test_ghz_three_levels(self):
-        rho = ghz3_state().projector()
+        rho = projector(ghz3_state())
         assert schmidt_number_upper_bound(rho, (3, 3), trials=5, seed=6) == 3
 
     def test_dimension_cap(self):
         with pytest.raises(InvariantViolation):
             schmidt_number_upper_bound(
-                DensityMatrix.maximally_mixed(10), (5, 2), trials=1, seed=0
+                maximally_mixed(10), (5, 2), trials=1, seed=0
             )

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -12,10 +13,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kanext import cli, prob
+from kanext import cli, prob, theories
+from kanext.kan import ExtensionProblem, FunctorMap
 from kanext.lp import exists_joint_stochastic_map, exists_uniform_map
-from kanext.prob import Dist, shannon_entropy
-from kanext.quantum import complex_matrix_to_json
+from kanext.pcat import (
+    COVARIANT,
+    Decision,
+    Dichotomy,
+    MonotoneSpec,
+    ReachabilityOracle,
+    ResourceRef,
+)
+from kanext.prob import Dist, StochMatrix, shannon_entropy
+from kanext.theories import RAND_UNIFORM, TheoryRegistry, default_registry
+from maps import complex_matrix_to_json
 
 
 def output_schema():
@@ -290,6 +301,94 @@ class TestVerify:
         code, _ = run_main(tmp_path, {"command": "verify", "property": "nope"})
         assert code == 2
 
+    def test_reduction_violations_document(self, tmp_path, monkeypatch):
+        # Images are built at the uniform state while the key map still
+        # reads each sample, so no candidate is reachable from a sample's
+        # image: its minimal extension is the empty inf.
+        real = cli.make_functor("classical_to_quantum")
+
+        def uniform_image(ref):
+            return real.map_object(ResourceRef(RAND_UNIFORM, Dist.uniform(len(ref.payload))))
+
+        monkeypatch.setattr(cli, "make_functor", lambda name, theory_id=None:
+                            dataclasses.replace(real, map_object=uniform_image))
+        monkeypatch.setattr(cli, "make_monotone", lambda name, variance:
+                            MonotoneSpec(name, lambda ref: 1.0, variance))
+        code, out = run_main(tmp_path, {"command": "verify", "property": "reduction",
+                                        "samples": 2, "seed": 5})
+        rng = np.random.default_rng(5)
+        sources = [ResourceRef(RAND_UNIFORM, Dist(rng.dirichlet(np.ones(3)))).describe()
+                   for _ in range(2)]
+        assert code == 1
+        assert out == printed({
+            "command": "verify", "property": "reduction", "passed": False, "checked": 2,
+            "violations": [{"source": s, "minimal": "inf", "value": 1.0, "maximal": 1.0}
+                           for s in sources],
+            "details": {"equalities": 0},
+        })
+
+    def test_monotonicity_violations_document(self, tmp_path, monkeypatch):
+        # The oracle admits every pair while the sweep decides by the real
+        # keys, and each sample is carried to a point mass, which the real
+        # order does not reach from it.
+        registry = default_registry()
+        entry = registry.entry(RAND_UNIFORM)
+        lax = dataclasses.replace(
+            entry, oracle=dataclasses.replace(entry.oracle, decide=lambda a, b: Decision(True))
+        )
+        monkeypatch.setattr(cli, "default_registry", lambda: TheoryRegistry(
+            {**registry.entries, RAND_UNIFORM: lax}))
+        monkeypatch.setattr(cli, "random_uniform_matrix", lambda rng, n:
+                            StochMatrix(np.eye(n)[[0] * n]))
+        code, out = run_main(tmp_path, {"command": "verify", "property": "monotonicity",
+                                        "samples": 2, "step": 0.25, "seed": 5})
+        rng = np.random.default_rng(5)
+        sources = [ResourceRef(RAND_UNIFORM, Dist(rng.dirichlet(np.ones(3)))).describe()
+                   for _ in range(2)]
+        assert code == 1
+        assert out == printed({
+            "command": "verify", "property": "monotonicity", "passed": False, "checked": 2,
+            "violations": [{"from": s, "to": "rand_uniform:[1, 0, 0]"} for s in sources],
+        })
+
+    def test_optimality_violations_document(self, tmp_path, monkeypatch):
+        # decide relates no two toy objects, while their keys put the point
+        # mass above the uniform pair, and the sweep reads the keys.
+        keys = [Dichotomy(np.array([1.0, 0.0]), np.full(2, 0.5)),
+                Dichotomy(np.full(2, 0.5), np.full(2, 0.5))]
+        objects = [ResourceRef("toy", i) for i in range(2)]
+        functor = FunctorMap(
+            "toy_embed", "toy_src", "toy", lambda ref: objects[ref.payload],
+            lambda refs: (np.array([keys[r.payload].p for r in refs]),
+                          np.array([keys[r.payload].q for r in refs])),
+        )
+        values = (1.0, 0.0)
+        problem = ExtensionProblem(
+            MonotoneSpec("toy_value", lambda ref: values[ref.payload], COVARIANT),
+            functor,
+            ReachabilityOracle("toy", lambda a, b: Decision(a == b),
+                               key=lambda ref: keys[ref.payload]),
+            tuple(ResourceRef("toy_src", i) for i in range(2)),
+            candidates_complete=True,
+        )
+        monkeypatch.setattr(cli, "random_toy_problem", lambda rng, max_objects:
+                            (problem, objects, (0.0, 1.0)))
+        code, out = run_main(tmp_path, {"command": "verify", "property": "optimality",
+                                        "samples": 1})
+        assert code == 1
+        assert out == printed({
+            "command": "verify", "property": "optimality", "passed": False, "checked": 1,
+            "violations": [{"problem": 0, "violations": [
+                "minimal extension beaten at object 0: G=1.0 vs 0.0",
+                "maximal extension beaten at object 1: G=0.0 vs 1.0",
+            ]}],
+        })
+
+
+def printed(doc: dict) -> str:
+    """The text the CLI prints for a document."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
 
 class TestLorenz:
     def test_single_curve(self, tmp_path):
@@ -510,6 +609,64 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert_one_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize(
+        "cfg,key",
+        [
+            ({"command": "verify", "property": "reduction", "samples": True}, "samples"),
+            ({"command": "verify", "property": "reduction", "samples": 2.9}, "samples"),
+            ({"command": "verify", "property": "reduction", "length": "3"}, "length"),
+            ({"command": "verify", "property": "monotonicity", "step": "0.25"}, "step"),
+            ({"command": "reach", "theory": "purebip_locc", "target": product_json(),
+              "source": {**bell_json(), "dims": [True, 4]}}, "dims"),
+            ({"command": "reach", "theory": "purebip_locc", "target": product_json(),
+              "source": {**bell_json(), "dims": ["2", "2"]}}, "dims"),
+            ({"command": "reach", "theory": "purebip_locc", "target": product_json(),
+              "source": {"state": [[1, 0]] + [[0, 0]] * 16, "dims": [17, 1]}}, "dims"),
+        ],
+        ids=["samples_bool", "samples_fraction", "length_text", "step_text", "dims_bool",
+             "dims_text", "dims_over_cap"],
+    )
+    def test_numbers_of_the_wrong_kind_exit_2(self, tmp_path, capsys, cfg, key):
+        code, out = run_main(tmp_path, cfg)
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert repr(key) in err
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda w: {"command": "reach", "theory": "rand_uniform", "source": w,
+                       "target": [1.0]},
+            lambda w: {"command": "reach", "theory": "cdistinguish", "source": [w, w],
+                       "target": [[1.0], [1.0]]},
+            lambda w: {"command": "lorenz", "distributions": [w, [1.0]], "out": "pair.csv"},
+        ],
+        ids=["reach", "pair_component", "lorenz"],
+    )
+    def test_payload_length_is_capped_before_any_decision(
+        self, tmp_path, capsys, monkeypatch, make
+    ):
+        class Decided(Exception):
+            pass
+
+        def no_decision(*args, **kwargs):
+            raise Decided
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(prob, "relative_majorization_mask", no_decision)
+        for name in ("exists_uniform_map", "exists_joint_stochastic_map"):
+            monkeypatch.setattr(theories, name, no_decision)
+
+        def run_at(n):
+            return run_main(tmp_path, make([1 / n] * n))
+
+        assert run_at(cli.PAYLOAD_LENGTH_CAP + 1) == (2, "")
+        assert_one_error_line(capsys.readouterr().err)
+        # at the cap the payload is admitted, so it reaches the first decision
+        with pytest.raises(Decided):
+            run_at(cli.PAYLOAD_LENGTH_CAP)
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("source", ["file", "stdin"])
     def test_non_finite_json_literals_exit_2(self, tmp_path, capsys, monkeypatch, constant,
@@ -603,7 +760,7 @@ FUZZ_BASES = [
     {"command": "lorenz", "distributions": [[0.7, 0.3], [0.5, 0.5]], "out": "pair.csv"},
 ]
 # Never a large number, so that no broken config can run long.
-FUZZ_VALUES = [None, [], {}, "x", -1, 0, 1.5]
+FUZZ_VALUES = [None, [], {}, "x", -1, 0, 1.5, True, "3", 2.5]
 
 
 def value_paths(doc, prefix=()):

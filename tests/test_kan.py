@@ -193,12 +193,12 @@ class TestClassicalExtensions:
         assert res.witness[0].payload.weights.tolist() == [0.75, 0.25]
 
     def test_witness_is_first_attaining_candidate(self):
-        twin_a = Dist([0.7, 0.3], label="a")
-        twin_b = Dist([0.3, 0.7], label="b")
+        twin_a = Dist([0.7, 0.3])
+        twin_b = Dist([0.3, 0.7])
         prob = shannon_problem(COVARIANT, [twin_a, twin_b])
         y = ResourceRef(RAND_UNIFORM, Dist([0.7, 0.3]))
         res = extension(prob, y)[0]
-        assert res.witness[0].payload.label == "a"
+        assert res.witness[0].payload is twin_a
 
 
 class TestQuantumExtensions:
@@ -513,21 +513,21 @@ class TestVerifyReduction:
         dists = [Dist(rng.dirichlet(np.ones(3))) for _ in range(10)]
         prob = shannon_problem(COVARIANT, dists, complete=True)
         report = verify_reduction(prob, list(prob.candidates))
-        assert report.passed
-        assert report.equalities == len(dists)
+        assert report["passed"]
+        assert report["equalities"] == len(dists)
 
     def test_embedding_gives_equality_on_diagonals(self, rng):
         dists = [Dist(rng.dirichlet(np.ones(3))) for _ in range(10)]
         prob = embedding_problem(dists)
         report = verify_reduction(prob, list(prob.candidates))
-        assert report.passed
-        assert report.equalities == len(dists)
+        assert report["passed"]
+        assert report["equalities"] == len(dists)
 
     def test_contravariant_orientation(self, rng):
         dists = [Dist(rng.dirichlet(np.ones(3))) for _ in range(10)]
         prob = shannon_problem(CONTRAVARIANT, dists)
         report = verify_reduction(prob, list(prob.candidates))
-        assert report.passed
+        assert report["passed"]
 
     def test_sample_missing_from_candidates_can_still_sandwich(self):
         # (0.3, 0.7) is interreachable with the sample, so both extensions
@@ -536,7 +536,7 @@ class TestVerifyReduction:
         prob = shannon_problem(COVARIANT, [Dist([0.3, 0.7]), Dist([0.5, 0.5])])
         sample = ResourceRef(RAND_UNIFORM, Dist([0.7, 0.3]))
         report = verify_reduction(prob, [sample])
-        assert report.passed
+        assert report["passed"]
         h = shannon_entropy(sample.payload)
         assert bf_minimal_extension(prob, sample) == pytest.approx(h)
         assert bf_maximal_extension(prob, sample) == pytest.approx(h)
@@ -547,7 +547,7 @@ class TestVerifyMonotonicity:
         prob = shannon_problem(COVARIANT, simplex_grid(2, 0.1))
         y = ResourceRef(RAND_UNIFORM, Dist([0.6, 0.4]))
         report = verify_monotonicity(prob, [(y, y)])
-        assert report.passed
+        assert report["passed"]
 
     def test_classical_free_pairs(self, rng):
         prob = shannon_problem(COVARIANT, simplex_grid(3, 0.1))
@@ -557,7 +557,7 @@ class TestVerifyMonotonicity:
             q = apply(p, random_uniform_matrix(rng, 3))
             pairs.append((ResourceRef(RAND_UNIFORM, p), ResourceRef(RAND_UNIFORM, q)))
         report = verify_monotonicity(prob, pairs)
-        assert report.passed
+        assert report["passed"]
 
     def test_quantum_unital_pairs(self, rng):
         prob = embedding_problem(simplex_grid(2, 0.1))
@@ -578,7 +578,7 @@ class TestVerifyMonotonicity:
                 )
             )
         report = verify_monotonicity(prob, pairs)
-        assert report.passed
+        assert report["passed"]
 
     def test_contravariant_pairs_non_increasing(self, rng):
         prob = shannon_problem(CONTRAVARIANT, simplex_grid(3, 0.1))
@@ -588,7 +588,7 @@ class TestVerifyMonotonicity:
             q = apply(p, random_uniform_matrix(rng, 3))
             pairs.append((ResourceRef(RAND_UNIFORM, p), ResourceRef(RAND_UNIFORM, q)))
         report = verify_monotonicity(prob, pairs)
-        assert report.passed
+        assert report["passed"]
 
     def test_rejects_non_free_pair(self):
         prob = shannon_problem(COVARIANT, simplex_grid(2, 0.1))
@@ -618,9 +618,9 @@ class TestVerifyOptimality:
             candidates_complete=True,
         )
         report = verify_optimality_bruteforce(prob, objects, (0.0, 0.5, 1.0, 2.0, INF))
-        assert report.passed
-        assert report.competitors_minimal > 0
-        assert report.competitors_maximal > 0
+        assert report["passed"]
+        assert report["competitors_minimal"] > 0
+        assert report["competitors_maximal"] > 0
 
     def test_budget_guard(self):
         never = ReachabilityOracle("big", lambda a, b: Decision(True), exact=True)

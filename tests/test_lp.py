@@ -383,19 +383,3 @@ class TestExistsDeterministicMap:
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
             exists_deterministic_map(Dist.uniform(13), Dist([1.0]))
-
-
-class TestFeasResultJson:
-    def test_infeasible_omits_witness(self):
-        doc = exists_uniform_map(Dist([0.5, 0.5]), Dist([0.7, 0.3])).to_json()
-        assert doc == {"status": "infeasible"}
-
-    def test_feasible_has_row_major_matrix(self):
-        doc = exists_uniform_map(Dist([0.7, 0.3]), Dist([0.5, 0.5])).to_json()
-        assert doc["status"] == "feasible"
-        assert len(doc["witness"]) == 2
-        assert len(doc["witness"][0]) == 2
-
-    def test_plain_vector_witness(self):
-        doc = solve_feasibility(LpFeasibility([[1.0]], [1.0])).to_json()
-        assert doc["witness"] == [1.0]

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import kanext
@@ -47,6 +48,45 @@ def unreferenced_public_names(trees: dict[str, ast.Module]) -> list[str]:
     ]
 
 
+def attribute_reads(node: ast.AST) -> Counter:
+    """How often each name is read as an attribute within ``node``."""
+    return Counter(
+        n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def unreferenced_public_members(trees: dict[str, ast.Module]) -> list[str]:
+    """Public methods, properties and annotated fields of module-level
+    classes, as "module.Class.name", whose name no statement of the given
+    modules other than the member's own definition reads as an attribute."""
+    total = sum((attribute_reads(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not name.startswith("_") and total[name] == attribute_reads(node)[name]:
+                    found.append(f"{module}.{cls.name}.{name}")
+    return found
+
+
+def package_trees() -> dict[str, ast.Module]:
+    return {
+        path.stem: ast.parse(path.read_text(), str(path))
+        for path in SOURCES
+        if path.name != "__init__.py"
+    }
+
+
 def test_sources_are_found():
     assert {"prob.py", "kan.py", "theories.py"} <= {path.name for path in SOURCES}
 
@@ -66,12 +106,7 @@ def test_guard_flags_a_bare_tolerance():
 
 
 def test_every_public_name_is_used_in_the_package():
-    trees = {
-        path.stem: ast.parse(path.read_text(), str(path))
-        for path in SOURCES
-        if path.name != "__init__.py"
-    }
-    assert unreferenced_public_names(trees) == []
+    assert unreferenced_public_names(package_trees()) == []
 
 
 def test_guard_flags_an_unreferenced_public_name():
@@ -80,3 +115,29 @@ def test_guard_flags_an_unreferenced_public_name():
     )
     unused = ast.parse("class C:\n    def g(self):\n        return C\n")
     assert unreferenced_public_names({"a": used, "b": unused}) == ["b.C"]
+
+
+def test_every_public_member_is_read_in_the_package():
+    assert unreferenced_public_members(package_trees()) == []
+
+
+def test_guard_flags_an_unreferenced_public_member():
+    tree = ast.parse(
+        "class C:\n"
+        "    used: int\n"
+        "    unused: int\n"
+        "    _private: int\n"
+        "    def read(self):\n"
+        "        return self.used\n"
+        "    def recursive(self):\n"
+        "        return self.recursive()\n"
+        "    def written(self):\n"
+        "        pass\n"
+        "\n"
+        "def f(c):\n"
+        "    c.written = 1\n"
+        "    return c.read()\n"
+    )
+    assert unreferenced_public_members({"m": tree}) == [
+        "m.C.unused", "m.C.recursive", "m.C.written"
+    ]

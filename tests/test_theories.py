@@ -44,6 +44,7 @@ from maps import (
     apply_channel,
     embed_stochastic,
     is_uniform_matrix,
+    maximally_mixed,
     stochastic_image_is_free,
 )
 
@@ -128,7 +129,7 @@ class TestQrandQuniformOracle:
 
     def test_pure_reaches_mixed(self):
         pure = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-        mixed = DensityMatrix.maximally_mixed(2)
+        mixed = maximally_mixed(2)
         assert qrand_quniform_oracle(pure, mixed).reachable
         assert not qrand_quniform_oracle(mixed, pure).reachable
 
@@ -156,7 +157,7 @@ class TestQrandQuniformOracle:
         d = qrand_quniform_oracle(rho, one)
         assert d.reachable  # tracing out everything is unital here
         assert not d.exact
-        d2 = qrand_quniform_oracle(one, DensityMatrix.maximally_mixed(2))
+        d2 = qrand_quniform_oracle(one, maximally_mixed(2))
         assert d2.reachable
         d3 = qrand_quniform_oracle(one, DensityMatrix(np.diag([0.7, 0.3]).astype(complex)))
         assert not d3.reachable
@@ -197,7 +198,7 @@ class TestDistinguishRestrictedOracle:
         assert d.witness is None
         witness = distinguish_restricted_witness(src, dst)
         assert isinstance(witness, StochMatrix)
-        assert witness.shape == (3, 2)
+        assert witness.entries.shape == (3, 2)
 
     def test_rotated_commuting_pairs(self, rng):
         p = Dist([0.8, 0.2])
@@ -215,7 +216,7 @@ class TestDistinguishRestrictedOracle:
         rho = DensityMatrix(np.diag([0.8, 0.2]).astype(complex))
         sigma = DensityMatrix(np.full((2, 2), 0.5))
         d = distinguish_restricted_oracle(
-            (rho, sigma), (DensityMatrix.maximally_mixed(2), DensityMatrix.maximally_mixed(2))
+            (rho, sigma), (maximally_mixed(2), maximally_mixed(2))
         )
         assert not d.reachable
         assert not d.exact  # a negative here is only "no witness found"
