@@ -10,7 +10,6 @@ from .prob import (
     kl_divergence,
     lorenz_curve,
     lorenz_csv,
-    majorizes,
     shannon_entropy,
     simplex_grid,
 )

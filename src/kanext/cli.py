@@ -30,7 +30,7 @@ from .kan import (
     verify_optimality_bruteforce,
     verify_reduction,
 )
-from .lp import exists_joint_stochastic_map, exists_uniform_map
+from .lp import joint_map_mask, uniform_map_mask
 from .pcat import CONTRAVARIANT, COVARIANT, VALUE_SLACK, ResourceRef, ext_leq
 from .prob import (
     Dist,
@@ -39,7 +39,7 @@ from .prob import (
     kl_divergence,
     lorenz_csv,
     lorenz_curve,
-    majorizes,
+    majorization_mask,
     random_stochastic,
     random_uniform_matrix,
     simplex_grid,
@@ -67,8 +67,8 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 GRID_STEP_RANGE = (0.01, 0.25)
-# Most ordered grid pairs hlp_agreement will check, one LP solve each; the
-# default grid (length 3, step 0.05) has 53,361.
+# Most ordered grid pairs hlp_agreement will check, all decided by one
+# batched simplex; the default grid (length 3, step 0.05) has 53,361.
 HLP_PAIRS_CAP = 60_000
 # Largest verify sizes, checked before any sampling: sample counts, sampled
 # measurement bases, distribution lengths and toy-theory objects.  Each sits
@@ -84,6 +84,8 @@ PAYLOAD_LENGTH_CAP = 64
 # Most that either extension at a state may differ from its von Neumann
 # entropy in the coincidence check.
 COINCIDENCE_TOL = 1e-6
+# JSON values that numpy would read as numbers in a weight list.
+_NOT_NUMBERS = frozenset((bool, str))
 
 
 class ConfigError(ValueError):
@@ -133,12 +135,17 @@ def _length(cfg: dict, key: str, default: int) -> int:
 
 
 def _dist(data) -> Dist:
-    """A distribution payload, its length checked before it is built."""
+    """A distribution payload, its length checked before it is built.
+    It must be a flat list of JSON numbers: numpy would read true and false
+    as 1 and 0, numeric text as the number it spells, and a nested list as
+    its flattening."""
     weights = np.asarray(data, dtype=float)
     if weights.size > PAYLOAD_LENGTH_CAP:
         raise ConfigError(
             f"length {weights.size} is over the cap of {PAYLOAD_LENGTH_CAP}"
         )
+    if weights.ndim != 1 or not _NOT_NUMBERS.isdisjoint(map(type, data)):
+        raise ConfigError(f"weights must be a list of JSON numbers, got {data!r}")
     return Dist(weights)
 
 
@@ -162,7 +169,7 @@ def parse_payload(kind: str, data):
             da, db = (
                 _number(d, "dims", at_least=1, at_most=DIMENSION_CAP) for d in data["dims"]
             )
-            vec = np.array([complex(re, im) for re, im in data["state"]])
+            vec = complex_matrix_from_json([data["state"]])[0]
             return BipartitePure(vec, (da, db))
     except (InvariantViolation, TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"bad {kind} object: {exc}") from exc
@@ -172,8 +179,6 @@ def parse_payload(kind: str, data):
 def payload_to_json(payload):
     if hasattr(payload, "to_json"):
         return payload.to_json()
-    if isinstance(payload, tuple):
-        return [payload_to_json(part) for part in payload]
     return payload
 
 
@@ -373,15 +378,14 @@ def _verify_hlp(cfg: dict, rng: np.random.Generator) -> dict:
             f"hlp_agreement over {len(grid)} grid points checks {len(grid) ** 2} "
             f"pairs, over the cap of {HLP_PAIRS_CAP}"
         )
-    disagreements = []
-    for p in grid:
-        for q in grid:
-            lorenz_says = majorizes(p, q)
-            lp_says = exists_uniform_map(p, q).feasible
-            if lorenz_says != lp_says:
-                disagreements.append(
-                    {"p": p.to_json(), "q": q.to_json(), "lorenz": lorenz_says}
-                )
+    weights = np.array([p.weights for p in grid])
+    rows, cols = weights[:, None], weights[None, :]
+    lorenz = majorization_mask(rows, cols)
+    disagree = np.argwhere(lorenz != uniform_map_mask(rows, cols))
+    disagreements = [
+        {"p": grid[i].to_json(), "q": grid[j].to_json(), "lorenz": bool(lorenz[i, j])}
+        for i, j in disagree
+    ]
     return {
         "passed": not disagreements,
         "checked": len(grid) ** 2,
@@ -393,14 +397,20 @@ def _verify_data_processing(cfg: dict, rng: np.random.Generator) -> dict:
     samples = _samples(cfg, 200)
     length = _length(cfg, "length", 4)
     out_length = _length(cfg, "out_length", 3)
-    violations = []
+    # every sample is drawn first, in the order one sample at a time took
+    weights = [np.empty((samples, size)) for size in (length, length, out_length, out_length)]
+    draws = []
     for i in range(samples):
         p = Dist(rng.dirichlet(np.ones(length)))
         q = Dist(rng.dirichlet(np.ones(length)))
         m = random_stochastic(rng, length, out_length)
-        p2 = Dist(p.weights @ m.entries)
-        q2 = Dist(q.weights @ m.entries)
-        if not exists_joint_stochastic_map((p, q), (p2, q2)).feasible:
+        draws.append((p, q, Dist(p.weights @ m.entries), Dist(q.weights @ m.entries)))
+        for side, dist in zip(weights, draws[-1]):
+            side[i] = dist.weights
+    found = joint_map_mask(*weights)
+    violations = []
+    for i, (p, q, p2, q2) in enumerate(draws):
+        if not found[i]:
             violations.append({"instance": i, "reason": "joint map not found"})
             continue
         before = kl_divergence(p, q)

@@ -2,7 +2,9 @@
 
 All questions here reduce to equality-form LP feasibility over nonnegative
 variables, decided by a phase-1 simplex with Bland's anti-cycling rule.
-Problem sizes are small (a few hundred variables), so the tableau is dense.
+Problem sizes are small (a few hundred variables), so the tableau is dense,
+and many systems of one shape are solved at once as a stack of tableaux;
+a single system is a stack of one.
 """
 
 from __future__ import annotations
@@ -24,8 +26,15 @@ _PIVOT_TOL = 1e-11
 _RATIO_TIE_TOL = 1e-12
 # Equality tolerance for the deterministic-map partition search.
 DETERMINISTIC_TOL = 1e-10
+# Most entries of one stack of tableaux; larger batches of systems are
+# built and solved in row chunks.
+LP_CHUNK_ENTRIES = 1 << 15
 # Function enumeration is |Y|^|X|; keep |X| at desk scale.
 DETERMINISTIC_SIZE_CAP = 12
+# Most search-tree nodes (one outcome placed on one entry of q) the
+# deterministic-map search examines before it gives up, about 0.6 s of
+# search on a 2-core Xeon VM.
+DETERMINISTIC_NODE_BUDGET = 2_000_000
 
 
 class SimplexIterationError(RuntimeError):
@@ -66,52 +75,81 @@ class FeasResult:
         return self.status == "feasible"
 
 
-def solve_feasibility(problem: LpFeasibility) -> FeasResult:
-    """Phase-1 simplex: feasible iff the artificial objective reaches zero."""
-    a = np.array(problem.a_eq, dtype=float)
-    b = np.array(problem.b_eq, dtype=float)
-    m, n = a.shape
-    neg = b < 0
-    a[neg] *= -1
-    b[neg] *= -1
+def _phase1(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phase-1 simplex on a stack of systems A x = b, x >= 0: ``a`` is
+    (B, m, n) and ``b`` is (B, m).
 
-    # Tableau columns: n structural variables, m artificials, rhs.  The
-    # bottom row carries reduced costs priced out for the artificial basis.
-    t = np.zeros((m + 1, n + m + 1))
-    t[:m, :n] = a
-    t[:m, n:n + m] = np.eye(m)
-    t[:m, -1] = b
-    t[m, :n] = -a.sum(axis=0)
-    t[m, -1] = -b.sum()
-    basis = np.arange(n, n + m)
+    Returns whether each system is feasible (its artificial objective ends
+    within FEAS_TOL of zero), its final basis (B, m) and its basic values
+    (B, m).  Each iteration pivots every unfinished system once, by Bland's
+    rule: the lowest-index column with a negative reduced cost enters, and
+    among the rows whose ratio ties the least one the lowest basic index
+    leaves.  Every step is elementwise along a system's own rows, or a
+    reduction within them, so a system's outcome does not depend on the
+    others solved with it.
+    """
+    count, m, n = a.shape
+    # Tableau columns: n structural variables, m artificials, rhs.  Rows
+    # with a negative right-hand side are negated first.  The bottom row
+    # carries reduced costs priced out for the artificial basis.
+    t = np.zeros((count, m + 1, n + m + 1))
+    t[:, :m, :n] = a
+    t[:, :m, -1] = b
+    t[:, :m][b < 0] *= -1
+    t[:, :m, n:n + m] = np.eye(m)
+    t[:, m, :n] = -t[:, :m, :n].sum(axis=1)
+    t[:, m, -1] = -t[:, :m, -1].sum(axis=1)
+    basis = np.tile(np.arange(n, n + m), (count, 1))
 
+    feasible = np.empty(count, dtype=bool)
+    final_basis = np.empty((count, m), dtype=basis.dtype)
+    values = np.empty((count, m))
+    live = np.arange(count)  # each unfinished system's index in the stack
+    rows = np.arange(count)
     max_iter = 100 * (n + m) + 500
     for _ in range(max_iter):
-        negative = t[m, :n + m] < -_PIVOT_TOL
-        enter = int(negative.argmax())  # Bland: lowest eligible index
-        if not negative[enter]:
+        negative = t[:, m, :n + m] < -_PIVOT_TOL
+        enter = negative.argmax(axis=1)  # Bland: lowest eligible index
+        going = negative[rows, enter]
+        if np.count_nonzero(going) < live.size:  # some systems finish
+            stop = ~going
+            done = live[stop]
+            feasible[done] = ~(-t[stop, m, -1] > FEAS_TOL)
+            final_basis[done] = basis[stop]
+            values[done] = t[stop, :m, -1]
+            t, basis, live, enter = t[going], basis[going], live[going], enter[going]
+            rows = np.arange(live.size)
+        if not live.size:
             break
-        col = t[:m, enter]
+        factor = t[rows, :, enter]
+        col = factor[:, :m]
         valid = col > _PIVOT_TOL
-        if not valid.any():
+        ratios = np.divide(t[:, :m, -1], col, out=np.full(col.shape, np.inf), where=valid)
+        least = ratios.min(axis=1, keepdims=True)
+        if np.count_nonzero(least == np.inf):
             raise SimplexIterationError("unbounded pivot column in phase 1")
-        ratios = np.where(valid, t[:m, -1] / np.where(valid, col, 1.0), np.inf)
-        tied = ratios <= ratios.min() + _RATIO_TIE_TOL
-        leave = int(np.where(tied, basis, n + m).argmin())  # Bland tie-break
-        t[leave] /= t[leave, enter]
-        factor = t[:, enter].copy()
-        factor[leave] = 0.0
-        t -= factor[:, None] * t[leave]
-        t[:, enter] = 0.0
-        t[leave, enter] = 1.0
-        basis[leave] = enter
+        tied = ratios <= least + _RATIO_TIE_TOL
+        leave = np.where(tied, basis, n + m).argmin(axis=1)  # Bland tie-break
+        pivot = t[rows, leave]
+        pivot /= factor[rows, leave][:, None]
+        # The leaving row is overwritten below.  Elsewhere x - x * 1.0 is
+        # exactly 0, so the entering column clears itself.
+        t -= factor[:, :, None] * pivot[:, None, :]
+        t[rows, leave] = pivot
+        basis[rows, leave] = enter
     else:
         raise SimplexIterationError(f"no convergence in {max_iter} iterations")
+    return feasible, final_basis, values
 
-    if -t[m, -1] > FEAS_TOL:
+
+def solve_feasibility(problem: LpFeasibility) -> FeasResult:
+    """Phase-1 simplex: feasible iff the artificial objective reaches zero."""
+    n = problem.a_eq.shape[1]
+    feasible, basis, values = _phase1(problem.a_eq[None], problem.b_eq[None])
+    if not feasible[0]:
         return FeasResult("infeasible")
-    x = np.zeros(n + m)
-    x[basis] = np.maximum(t[:m, -1], 0.0)
+    x = np.zeros(n + basis.shape[1])
+    x[basis[0]] = np.maximum(values[0], 0.0)
     return FeasResult("feasible", x[:n].copy())
 
 
@@ -135,26 +173,81 @@ def _uniform_structure(n: int, k: int) -> np.ndarray:
     return block
 
 
+def _uniform_system(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A x = b for a uniform map carrying each row of p (N, n) to the same
+    row of q (N, k), with x the map's n k entries, row-major.
+
+    The last column-sum and image constraints are implied by the rest (both
+    blocks total the row sums), so they are dropped from the system.
+    """
+    rows, n = p.shape
+    k = q.shape[1]
+    a = np.zeros((rows, n + 2 * (k - 1), n * k))
+    a[:, :n + k - 1] = _uniform_structure(n, k)    # row sums, column sums
+    for j in range(k - 1):                         # image constraint p M = q
+        a[:, n + k - 1 + j, j::k] = p
+    b = np.concatenate(
+        [np.ones((rows, n)), np.full((rows, k - 1), n / k), q[:, :-1]], axis=1
+    )
+    return a, b
+
+
+def _joint_system(
+    p: np.ndarray, q: np.ndarray, p2: np.ndarray, q2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A x = b for one stochastic map carrying row i of p and q (N, n) to
+    row i of p2 and q2 (N, k).  One image constraint per component is
+    implied by the row sums, so it is dropped."""
+    rows, n = p.shape
+    k = p2.shape[1]
+    a = np.zeros((rows, n + 2 * (k - 1), n * k))
+    a[:, :n] = _row_sum_structure(n, k)
+    for j in range(k - 1):
+        a[:, n + j, j::k] = p
+        a[:, n + k - 1 + j, j::k] = q
+    b = np.concatenate([np.ones((rows, n)), p2[:, :-1], q2[:, :-1]], axis=1)
+    return a, b
+
+
+def _feasible_rows(system, *arrays: np.ndarray) -> np.ndarray:
+    """Where ``system`` (one of the builders above) is feasible, for weight
+    arrays whose leading axes broadcast, the first of length n and the last
+    of length k.  The rows are built and solved LP_CHUNK_ENTRIES tableau
+    entries at a time."""
+    n, k = arrays[0].shape[-1], arrays[-1].shape[-1]
+    shape = np.broadcast_shapes(*(x.shape[:-1] for x in arrays))
+    lead = shape or (1,)
+    views = [np.broadcast_to(x, lead + x.shape[-1:]) for x in arrays]
+    m, width = n + 2 * (k - 1), n * k
+    step = max(1, LP_CHUNK_ENTRIES // ((m + 1) * (width + m + 1)))
+    total = int(np.prod(lead))
+    verdict = np.empty(total, dtype=bool)
+    for start in range(0, total, step):
+        at = np.unravel_index(np.arange(start, min(start + step, total)), lead)
+        verdict[start:start + step] = _phase1(*system(*(v[at] for v in views)))[0]
+    return verdict.reshape(shape)
+
+
 def exists_uniform_map(p: Dist, q: Dist) -> FeasResult:
     """Is there a uniform stochastic matrix carrying p to q?
 
     Uniform means rows sum to 1 and every column sums to |X|/|Y|; for equal
     lengths this is doubly stochastic.  Majorization q <= p holds exactly
     when such a matrix exists, which tests exploit as a cross-check.
-
-    The last column-sum and image constraints are implied by the rest (both
-    blocks total the row sums), so they are dropped from the system.
     """
     n, k = len(p), len(q)
-    a = np.zeros((n + 2 * (k - 1), n * k))
-    a[:n + k - 1] = _uniform_structure(n, k)       # row sums, column sums
-    for j in range(k - 1):                         # image constraint p M = q
-        a[n + k - 1 + j, j::k] = p.weights
-    b = np.concatenate([np.ones(n), np.full(k - 1, n / k), q.weights[:-1]])
-    res = solve_feasibility(LpFeasibility(a, b))
+    a, b = _uniform_system(p.weights[None], q.weights[None])
+    res = solve_feasibility(LpFeasibility(a[0], b[0]))
     if not res.feasible:
         return res
     return FeasResult("feasible", StochMatrix(res.witness.reshape(n, k)))
+
+
+def uniform_map_mask(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Where a uniform map carries p to q, for weight arrays of lengths n
+    and k whose leading axes broadcast: ``exists_uniform_map``'s verdict on
+    every pair, from one batched simplex and with no witness."""
+    return _feasible_rows(_uniform_system, p, q)
 
 
 def exists_joint_stochastic_map(
@@ -168,17 +261,25 @@ def exists_joint_stochastic_map(
     if len(p2) != len(q2):
         raise DimensionMismatch("target components must share a length")
     n, k = len(p), len(p2)
-    # one image constraint per component is implied by the row sums
-    a = np.zeros((n + 2 * (k - 1), n * k))
-    a[:n] = _row_sum_structure(n, k)
-    for j in range(k - 1):
-        a[n + j, j::k] = p.weights
-        a[n + k - 1 + j, j::k] = q.weights
-    b = np.concatenate([np.ones(n), p2.weights[:-1], q2.weights[:-1]])
-    res = solve_feasibility(LpFeasibility(a, b))
+    a, b = _joint_system(*(d.weights[None] for d in (p, q, p2, q2)))
+    res = solve_feasibility(LpFeasibility(a[0], b[0]))
     if not res.feasible:
         return res
     return FeasResult("feasible", StochMatrix(res.witness.reshape(n, k)))
+
+
+def joint_map_mask(
+    p: np.ndarray, q: np.ndarray, p2: np.ndarray, q2: np.ndarray
+) -> np.ndarray:
+    """Where one stochastic map carries p to p2 and q to q2, for weight
+    arrays whose leading axes broadcast (p and q of length n, p2 and q2 of
+    length k): ``exists_joint_stochastic_map``'s verdict on every row, from
+    one batched simplex and with no witness."""
+    if q.shape[-1] != p.shape[-1]:
+        raise DimensionMismatch("pair components must share a length")
+    if q2.shape[-1] != p2.shape[-1]:
+        raise DimensionMismatch("target components must share a length")
+    return _feasible_rows(_joint_system, p, q, p2, q2)
 
 
 def exists_deterministic_map(p: Dist, q: Dist) -> FeasResult:
@@ -187,34 +288,53 @@ def exists_deterministic_map(p: Dist, q: Dist) -> FeasResult:
     Searches assignments of p's outcomes to q's by backtracking over partial
     sums, largest weights first.  Outcomes never map onto zero entries of q,
     so those entries keep empty preimages.
+
+    Two entries of q with the same weight and the same share filled so far
+    are interchangeable for the rest of the search: each share is the sum
+    of its outcomes in search order, whatever was tried before.  So at each
+    depth an entry whose (weight, filled) pair has already been tried, and
+    failed, is skipped, and the first assignment found is the one the full
+    search finds.  Past DETERMINISTIC_NODE_BUDGET nodes the search gives up
+    with SizeLimitError.
     """
     n, k = len(p), len(q)
     if n > DETERMINISTIC_SIZE_CAP:
         raise SizeLimitError(f"|X| = {n} exceeds cap {DETERMINISTIC_SIZE_CAP}")
-    targets = q.weights
+    # every entry of q beyond the tolerance needs an outcome of its own
+    if np.count_nonzero(q.weights > DETERMINISTIC_TOL) > np.count_nonzero(p.weights):
+        return FeasResult("infeasible")
+    targets = q.weights.tolist()
     order = np.argsort(-p.weights)
-    assignment = np.full(n, -1, dtype=int)
-    sums = np.zeros(k)
+    weights = p.weights[order].tolist()
+    assignment = [-1] * n
+    sums = [0.0] * k
+    nodes = 0
 
     def backtrack(idx: int) -> bool:
+        nonlocal nodes
+        nodes += k  # the placements examined below, pruned ones included
+        if nodes > DETERMINISTIC_NODE_BUDGET:
+            raise SizeLimitError(
+                f"deterministic-map search passed {DETERMINISTIC_NODE_BUDGET} nodes"
+            )
         if idx == n:
-            return bool(np.all(np.abs(sums - targets) <= DETERMINISTIC_TOL))
-        i = order[idx]
-        w = p.weights[i]
-        for j in range(k):
-            if targets[j] == 0.0:
+            return all(abs(s - t) <= DETERMINISTIC_TOL for s, t in zip(sums, targets))
+        w = weights[idx]
+        tried = set()
+        for j, (target, filled) in enumerate(zip(targets, sums)):
+            if target == 0.0 or (target, filled) in tried:
                 continue
-            if sums[j] + w <= targets[j] + DETERMINISTIC_TOL:
-                assignment[i] = j
-                sums[j] += w
+            if filled + w <= target + DETERMINISTIC_TOL:
+                tried.add((target, filled))
+                assignment[idx] = j
+                sums[j] = filled + w
                 if backtrack(idx + 1):
                     return True
-                sums[j] -= w
-                assignment[i] = -1
+                sums[j] = filled
         return False
 
     if not backtrack(0):
         return FeasResult("infeasible")
     m = np.zeros((n, k))
-    m[np.arange(n), assignment] = 1.0
+    m[order, assignment] = 1.0
     return FeasResult("feasible", StochMatrix(m))

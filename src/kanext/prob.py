@@ -162,21 +162,9 @@ def majorization_mask(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Where q is majorized by p, for weight arrays of one length whose
     leading axes broadcast: the Lorenz ordinates of p lie on or below those
     of q at every knot, with ORDER_SLACK.  One row against an (N, n) matrix
-    decides N pairs at once; ``majorizes`` is the single-pair case.
+    decides N pairs at once, and two 1-D arrays decide one pair.
     """
     return (_lorenz_ordinates(p) <= _lorenz_ordinates(q) + ORDER_SLACK).all(axis=-1)
-
-
-def majorizes(p: Dist, q: Dist) -> bool:
-    """True iff q is majorized by p (q is the more uniform of the two).
-
-    Decided by Lorenz-curve dominance: with entries sorted increasingly, the
-    curve of p must lie on or below the curve of q at every knot i/n.  The
-    lengths must agree.
-    """
-    if len(p) != len(q):
-        raise DimensionMismatch(f"lengths {len(p)} and {len(q)} differ")
-    return bool(majorization_mask(p.weights, q.weights))
 
 
 def _uniform_rows(q: np.ndarray) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -102,8 +103,12 @@ class BipartitePure:
 
 
 def complex_matrix_from_json(data) -> np.ndarray:
-    """A complex matrix from nested [re, im] pairs, row-major."""
-    return np.array([[complex(re, im) for re, im in row] for row in data])
+    """A complex matrix from nested [re, im] pairs, row-major.  JSON true
+    and false are refused, though ``complex`` would read them as 1 and 0."""
+    matrix = np.array([[complex(re, im) for re, im in row] for row in data])
+    if bool in set(map(type, chain.from_iterable(chain.from_iterable(data)))):
+        raise InvariantViolation("matrix entries must be numbers, not true or false")
+    return matrix
 
 
 def eig_hermitian(rho: DensityMatrix) -> Spectrum:

@@ -2,9 +2,10 @@
 
 Both extensions re-evaluated by explicit looping, a pairwise monotonicity
 check, a grid search for uniform maps with the grid spec it enumerates,
-and a sampled upper bound on the Schmidt number of mixed states.  Nothing
-here shares reduction or comparison helpers with the extension engine;
-agreement between the two code paths is what the tests check.
+the deterministic-map search without its pruning, and a sampled upper
+bound on the Schmidt number of mixed states.  Nothing here shares
+reduction or comparison helpers with the extension engine; agreement
+between the two code paths is what the tests check.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kanext.kan import ExtensionProblem
+from kanext.lp import DETERMINISTIC_TOL
 from kanext.pcat import (
     COVARIANT,
     VALUE_SLACK,
@@ -151,6 +153,41 @@ def bf_uniform_map_search(
     if search(0, np.zeros(k), np.zeros(k)):
         return StochMatrix(np.vstack(chosen))
     return None
+
+
+def undeduplicated_deterministic_map(p: Dist, q: Dist) -> StochMatrix | None:
+    """The deterministic-map search without pruning of interchangeable
+    entries, no refusal by support size and no node budget: every entry of
+    q is tried for every outcome, largest weights first.  Returns the first
+    function found, as a 0/1 matrix, or None."""
+    n, k = len(p), len(q)
+    targets = q.weights
+    order = np.argsort(-p.weights)
+    assignment = np.full(n, -1, dtype=int)
+    sums = np.zeros(k)
+
+    def backtrack(idx: int) -> bool:
+        if idx == n:
+            return bool(np.all(np.abs(sums - targets) <= DETERMINISTIC_TOL))
+        i = order[idx]
+        w = p.weights[i]
+        for j in range(k):
+            if targets[j] == 0.0:
+                continue
+            if sums[j] + w <= targets[j] + DETERMINISTIC_TOL:
+                assignment[i] = j
+                sums[j] += w
+                if backtrack(idx + 1):
+                    return True
+                sums[j] -= w
+                assignment[i] = -1
+        return False
+
+    if not backtrack(0):
+        return None
+    m = np.zeros((n, k))
+    m[np.arange(n), assignment] = 1.0
+    return StochMatrix(m)
 
 
 def schmidt_number_upper_bound(

@@ -1,11 +1,12 @@
 """Stochastic maps, quantum channels and states that only the tests build.
 
-Pushing distributions through matrices, predicates on matrices, Kraus
-channels with the measure-and-reassign embedding of stochastic matrices,
-the partial trace, the maximally mixed state, projectors of pure states
-and the JSON encoding of complex matrices.  The CLI decides reachability
-without applying a map or a channel and reads matrices without writing
-them, so none of this ships in the package.
+The single-pair majorization test, pushing distributions through
+matrices, predicates on matrices, Kraus channels with the
+measure-and-reassign embedding of stochastic matrices, the partial trace,
+the maximally mixed state, projectors of pure states and the JSON
+encoding of complex matrices.  The CLI decides reachability without
+applying a map or a channel, decides majorization in batches and reads
+matrices without writing them, so none of this ships in the package.
 """
 
 from __future__ import annotations
@@ -14,13 +15,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kanext.prob import STOCHASTIC_TOL, DimensionMismatch, Dist, InvariantViolation, StochMatrix
+from kanext.prob import (
+    STOCHASTIC_TOL,
+    DimensionMismatch,
+    Dist,
+    InvariantViolation,
+    StochMatrix,
+    majorization_mask,
+)
 from kanext.quantum import BipartitePure, DensityMatrix
 
 # Kraus operators B_i must satisfy sum B_i^dag B_i = I to within this.
 COMPLETENESS_TOL = 1e-9
 # A channel is unital when it maps I/d_in to I/d_out to within this.
 UNITAL_TOL = 1e-9
+
+
+def majorizes(p: Dist, q: Dist) -> bool:
+    """True iff q is majorized by p (q is the more uniform of the two).
+
+    Decided by Lorenz-curve dominance: with entries sorted increasingly, the
+    curve of p must lie on or below the curve of q at every knot i/n.  The
+    lengths must agree.
+    """
+    if len(p) != len(q):
+        raise DimensionMismatch(f"lengths {len(p)} and {len(q)} differ")
+    return bool(majorization_mask(p.weights, q.weights))
 
 
 def apply(p: Dist, m: StochMatrix) -> Dist:

@@ -16,9 +16,9 @@ from kanext.bf_oracle import (
     random_toy_problem,
 )
 from kanext.kan import extension
-from kanext.prob import Dist, InvariantViolation, majorizes
+from kanext.prob import Dist, InvariantViolation
 from kanext.quantum import DensityMatrix, schmidt_rank
-from maps import apply, is_uniform_matrix, maximally_mixed, projector
+from maps import apply, is_uniform_matrix, majorizes, maximally_mixed, projector
 
 
 class TestGridSpec:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kanext import cli, prob, theories
+from kanext import cli, lp, prob, theories
 from kanext.kan import ExtensionProblem, FunctorMap
 from kanext.lp import exists_joint_stochastic_map, exists_uniform_map
 from kanext.pcat import (
@@ -26,7 +27,7 @@ from kanext.pcat import (
 )
 from kanext.prob import Dist, StochMatrix, shannon_entropy
 from kanext.theories import RAND_UNIFORM, TheoryRegistry, default_registry
-from maps import complex_matrix_to_json
+from maps import complex_matrix_to_json, majorizes
 
 
 def output_schema():
@@ -384,6 +385,57 @@ class TestVerify:
             ]}],
         })
 
+    def test_hlp_violations_document(self, tmp_path, monkeypatch):
+        # The LP verdict is flipped on every seventh pair, counted p-major,
+        # so exactly those pairs disagree with the Lorenz test.
+        real = cli.uniform_map_mask
+
+        def flipped(p, q):
+            mask = real(p, q)
+            mask.flat[::7] = ~mask.flat[::7]
+            return mask
+
+        monkeypatch.setattr(cli, "uniform_map_mask", flipped)
+        code, out = run_main(tmp_path, {"command": "verify", "property": "hlp_agreement",
+                                        "length": 2, "step": 0.25})
+        grid = prob.simplex_grid(2, 0.25)
+        pairs = [(p, q) for p in grid for q in grid]
+        assert code == 1
+        assert out == printed({
+            "command": "verify", "property": "hlp_agreement", "passed": False, "checked": 25,
+            "violations": [{"p": p.to_json(), "q": q.to_json(), "lorenz": majorizes(p, q)}
+                           for p, q in pairs[::7]],
+        })
+
+    def test_data_processing_violations_document(self, tmp_path, monkeypatch):
+        # One batched LP sees every sample, drawn in the order one sample
+        # at a time draws them, and finds no joint map for two of them.
+        seen = []
+
+        def two_missing(*weights):
+            seen.append(weights)
+            return np.array([True, False, False, True])
+
+        monkeypatch.setattr(cli, "joint_map_mask", two_missing)
+        code, out = run_main(tmp_path, {"command": "verify", "property": "data_processing",
+                                        "samples": 4, "length": 3, "out_length": 2,
+                                        "seed": 5})
+        rng = np.random.default_rng(5)
+        draws = []
+        for _ in range(4):
+            p, q = Dist(rng.dirichlet(np.ones(3))), Dist(rng.dirichlet(np.ones(3)))
+            m = prob.random_stochastic(rng, 3, 2).entries
+            images = Dist(p.weights @ m), Dist(q.weights @ m)
+            draws.append((p.weights, q.weights, *(d.weights for d in images)))
+        assert len(seen) == 1
+        for got, want in zip(seen[0], zip(*draws)):
+            assert np.array_equal(got, np.array(want))
+        assert code == 1
+        assert out == printed({
+            "command": "verify", "property": "data_processing", "passed": False, "checked": 4,
+            "violations": [{"instance": i, "reason": "joint map not found"} for i in (1, 2)],
+        })
+
 
 def printed(doc: dict) -> str:
     """The text the CLI prints for a document."""
@@ -500,6 +552,55 @@ class TestUsageErrors:
         assert_one_error_line(capsys.readouterr().err)
 
     @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"command": "reach", "theory": "rand_uniform", "source": [True, False],
+             "target": [0.5, 0.5]},
+            {"command": "reach", "theory": "rand_uniform", "source": ["0.5", 0.5],
+             "target": [0.5, 0.5]},
+            {"command": "reach", "theory": "rand_uniform", "source": [[0.7], [0.3]],
+             "target": [0.5, 0.5]},
+            {"command": "reach", "theory": "rand_detmn", "source": 1.0, "target": [1.0]},
+            {"command": "reach", "theory": "cdistinguish", "source": [[0.5, 0.5], [1, False]],
+             "target": [[1.0], [1.0]]},
+            {"command": "lorenz", "distributions": [[0.5, 0.5], [True]], "out": "pair.csv"},
+            {"command": "reach", "theory": "qrand_quniform",
+             "source": [[[True, 0], [0, 0]], [[0, 0], [False, 0]]],
+             "target": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+            {"command": "reach", "theory": "purebip_locc",
+             "source": {"dims": [1, 1], "state": [[True, 0]]},
+             "target": {"dims": [1, 1], "state": [[1, 0]]}},
+        ],
+        ids=["bool_weight", "text_weight", "nested_weights", "scalar_weights",
+             "bool_pair_weight", "bool_lorenz_weight", "bool_matrix_entry",
+             "bool_state_entry"],
+    )
+    def test_payload_entries_must_be_numbers(self, tmp_path, capsys, monkeypatch, cfg):
+        # numpy would read true, false, numeric text, a nested list and a
+        # bare number as weights
+        monkeypatch.chdir(tmp_path)
+        assert run_main(tmp_path, cfg) == (2, "")
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_deterministic_search_past_its_budget_exits_2(self, tmp_path, capsys, monkeypatch):
+        cfg = {"command": "reach", "theory": "rand_detmn",
+               "source": list(np.arange(1, 13) / 78), "target": [0.501, 0.499]}
+        code, doc, _ = run_and_validate(tmp_path, cfg)
+        assert (code, doc["reachable"]) == (0, False)
+        monkeypatch.setattr(lp, "DETERMINISTIC_NODE_BUDGET", 100)
+        assert run_main(tmp_path, cfg) == (2, "")
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_uniform_twelve_to_eleven_is_decided_at_once(self, tmp_path):
+        start = time.perf_counter()
+        code, doc, _ = run_and_validate(tmp_path, {
+            "command": "reach", "theory": "rand_detmn",
+            "source": [1 / 12] * 12, "target": [1 / 11] * 11,
+        })
+        assert time.perf_counter() - start < 1.0
+        assert (code, doc["reachable"]) == (0, False)
+
+    @pytest.mark.parametrize(
         "prop,length,step",
         [("hlp_agreement", 0, 0.25), ("monotonicity", 0, 0.25),
          ("hlp_agreement", 9, 0.01)],
@@ -525,7 +626,7 @@ class TestUsageErrors:
         def no_solve(p, q):
             raise Solved
 
-        monkeypatch.setattr(cli, "exists_uniform_map", no_solve)
+        monkeypatch.setattr(cli, "uniform_map_mask", no_solve)
         # 10,626 points, about 1.1e8 pairs: refused
         code, out = run_main(tmp_path, {
             "command": "verify", "property": "hlp_agreement", "length": 5, "step": 0.05,

@@ -1,9 +1,12 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
+from brute_force import undeduplicated_deterministic_map
 from conftest import nudged, sparse_dist
+from kanext import lp
 from kanext.lp import (
     FEAS_TOL,
     LpFeasibility,
@@ -11,13 +14,15 @@ from kanext.lp import (
     exists_deterministic_map,
     exists_joint_stochastic_map,
     exists_uniform_map,
+    joint_map_mask,
     solve_feasibility,
+    uniform_map_mask,
 )
 from kanext.prob import (
+    DimensionMismatch,
     Dist,
     StochMatrix,
     kl_divergence,
-    majorizes,
     random_stochastic,
     relative_majorization_mask,
     relatively_majorizes,
@@ -25,7 +30,7 @@ from kanext.prob import (
     simplex_grid,
 )
 from kanext.theories import rand_uniform_oracle
-from maps import apply, is_deterministic, is_uniform_matrix
+from maps import apply, is_deterministic, is_uniform_matrix, majorizes
 
 
 def brute_force_deterministic(p: Dist, q: Dist) -> bool:
@@ -218,6 +223,7 @@ class TestRelativelyMajorizesAgreesWithLp:
             pair, target = (Dist(p), Dist(q)), (Dist(p2), Dist(q2))
             lp_says = exists_joint_stochastic_map(pair, target).feasible
             assert relatively_majorizes(pair, target) == lp_says, (p, q, p2, q2)
+            assert joint_map_mask(*(d.weights for d in pair + target)) == lp_says
             verdicts.append(lp_says)
         assert 0.2 < np.mean(verdicts) < 0.9
 
@@ -236,6 +242,7 @@ class TestRelativelyMajorizesAgreesWithLp:
             lp_says = exists_uniform_map(p, q).feasible
             closed = relatively_majorizes((p, Dist.uniform(n)), (q, Dist.uniform(k)))
             assert closed == lp_says == rand_uniform_oracle(p, q).reachable, (p, q)
+            assert uniform_map_mask(p.weights, q.weights) == lp_says
             verdicts.append(lp_says)
         assert 0.2 < np.mean(verdicts) < 0.9
 
@@ -295,12 +302,17 @@ class TestRelativeMajorizationMaskAgreesWithLp:
                 True: relative_majorization_mask(p2, q2, p, q),
                 False: relative_majorization_mask(p, q, p2, q2),
             }
+            lp_masks = {
+                True: joint_map_mask(p2, q2, p, q),
+                False: joint_map_mask(p, q, p2, q2),
+            }
             for i in range(len(p)):
                 pair = (Dist(p[i]), Dist(q[i]))
                 for forward, mask in masks.items():
                     source, image = (target, pair) if forward else (pair, target)
                     lp_says = exists_joint_stochastic_map(source, image).feasible
                     assert mask[i] == relatively_majorizes(source, image) == lp_says, (n, k, i)
+                    assert lp_masks[forward][i] == lp_says, (n, k, i)
                     verdicts[forward].append(lp_says)
         for seen in verdicts.values():
             assert 0.15 < np.mean(seen) < 0.85
@@ -314,6 +326,7 @@ class TestRelativeMajorizationMaskAgreesWithLp:
                 True: relative_majorization_mask(p2, uk, p, un),
                 False: relative_majorization_mask(p, un, p2, uk),
             }
+            lp_masks = {True: uniform_map_mask(p2, p), False: uniform_map_mask(p, p2)}
             for i in range(len(p)):
                 a, b = Dist(p2), Dist(p[i])
                 for forward, mask in masks.items():
@@ -321,9 +334,94 @@ class TestRelativeMajorizationMaskAgreesWithLp:
                     lp_says = exists_uniform_map(source, image).feasible
                     pairs = (source, Dist.uniform(len(source))), (image, Dist.uniform(len(image)))
                     assert mask[i] == relatively_majorizes(*pairs) == lp_says, (n, k, i)
+                    assert lp_masks[forward][i] == lp_says, (n, k, i)
                     verdicts[forward].append(lp_says)
         for seen in verdicts.values():
             assert 0.15 < np.mean(seen) < 0.85
+
+
+class TestBatchedSimplex:
+    """The batched masks against the per-pair deciders, and each system's
+    outcome alone against its outcome inside a batch."""
+
+    def test_uniform_mask_matches_per_pair_on_grid(self):
+        grid = simplex_grid(3, 0.1)  # 66 points, 4,356 ordered pairs
+        w = np.array([p.weights for p in grid])
+        mask = uniform_map_mask(w[:, None], w[None, :])
+        per_pair = [[exists_uniform_map(p, q).feasible for q in grid] for p in grid]
+        assert np.array_equal(mask, per_pair)
+        assert 0.1 < mask.mean() < 0.9
+
+    def test_joint_mask_matches_per_pair_on_grid(self):
+        grid = simplex_grid(3, 0.1)
+        w = np.array([p.weights for p in grid])
+        r = Dist([0.5, 0.3, 0.2])
+        mask = joint_map_mask(w[:, None], r.weights, w[None, :], r.weights)
+        per_pair = [
+            [exists_joint_stochastic_map((p, r), (q, r)).feasible for q in grid]
+            for p in grid
+        ]
+        assert np.array_equal(mask, per_pair)
+        assert 0.1 < mask.mean() < 0.9
+
+    @staticmethod
+    def systems(rng, rows: int = 48):
+        """Uniform and joint systems from 4 to 3 outcomes, both verdicts
+        among them: images under random maps, nudged images and point
+        masses."""
+        n, k = 4, 3
+        p = np.array([sparse_dist(rng, n) if i % 3 == 0 else rng.dirichlet(np.ones(n))
+                      for i in range(rows)])
+        q = rng.dirichlet(np.ones(n), size=rows)
+        images, pairs = [], []
+        for i in range(rows):
+            m = rng.dirichlet(np.ones(k), size=n)
+            image, pair = p[i] @ uniform_map(rng, n, k), (p[i] @ m, q[i] @ m)
+            if i % 4 == 1:
+                image, pair = nudged(rng, image), (nudged(rng, pair[0]), pair[1])
+            elif i % 2:  # point masses, out of reach of most p and (p, q)
+                image, pair = np.eye(k)[0], (np.eye(k)[0], np.eye(k)[1])
+            images.append(image)
+            pairs.append(pair)
+        p2, q2 = (np.array(side) for side in zip(*pairs))
+        return [lp._uniform_system(p, np.array(images)), lp._joint_system(p, q, p2, q2)]
+
+    def test_row_alone_or_in_a_shuffled_batch(self, rng):
+        for a, b in self.systems(rng):
+            together = lp._phase1(a, b)
+            order = rng.permutation(len(a))
+            shuffled = lp._phase1(a[order], b[order])
+            assert 0.2 < together[0].mean() < 0.9
+            for i in range(len(a)):
+                alone = lp._phase1(a[i:i + 1], b[i:i + 1])
+                at = int(np.flatnonzero(order == i)[0])
+                for whole, row in ((together, i), (shuffled, at)):
+                    for got, want in zip(whole, alone):
+                        assert np.array_equal(got[row], want[0]), i
+                # the witness solve_feasibility reports is built from the same basis
+                res = solve_feasibility(LpFeasibility(a[i], b[i]))
+                assert res.feasible == alone[0][0]
+                if res.feasible:
+                    x = np.zeros(a.shape[2] + a.shape[1])
+                    x[alone[1][0]] = np.maximum(alone[2][0], 0.0)
+                    assert np.array_equal(res.witness, x[:a.shape[2]])
+
+    def test_chunks_do_not_change_verdicts(self, monkeypatch):
+        grid = simplex_grid(3, 0.25)
+        w = np.array([p.weights for p in grid])
+        whole = uniform_map_mask(w[:, None], w[None, :])
+        for entries in (1, 1000):  # one system per chunk; 7 with a short last chunk
+            monkeypatch.setattr(lp, "LP_CHUNK_ENTRIES", entries)
+            assert np.array_equal(uniform_map_mask(w[:, None], w[None, :]), whole)
+
+    def test_shapes(self):
+        half = np.full(2, 0.5)
+        assert uniform_map_mask(np.empty((0, 3)), np.empty((0, 2))).shape == (0,)
+        assert joint_map_mask(np.full((2, 1, 2), 0.5), half,
+                              np.full((3, 2), 0.5), half).shape == (2, 3)
+        assert uniform_map_mask(np.array([0.7, 0.3]), np.array([0.5, 0.5])).shape == ()
+        with pytest.raises(DimensionMismatch):
+            joint_map_mask(np.full(2, 0.5), np.full(3, 1 / 3), np.ones(1), np.ones(1))
 
 
 class TestExistsDeterministicMap:
@@ -383,3 +481,71 @@ class TestExistsDeterministicMap:
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
             exists_deterministic_map(Dist.uniform(13), Dist([1.0]))
+
+    @pytest.mark.parametrize("k,feasible", [(5, False), (11, False), (12, True)])
+    def test_uniform_source_of_twelve_is_quick(self, k, feasible):
+        start = time.perf_counter()
+        res = exists_deterministic_map(Dist.uniform(12), Dist.uniform(k))
+        assert time.perf_counter() - start < 1.0
+        assert res.feasible == feasible
+
+    def test_agrees_with_undeduplicated_search(self, rng):
+        grids = {n: simplex_grid(n, 0.1) for n in range(1, 7)}
+        verdicts = []
+        for i in range(300):
+            n, k = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            if i % 3 == 0:  # repeated weights
+                p = grids[n][int(rng.integers(len(grids[n])))].weights
+            elif i % 3 == 1:
+                p = rng.dirichlet(np.ones(3))[rng.integers(0, 3, size=n)]
+                p = p / p.sum()
+            else:
+                p = sparse_dist(rng, n)
+            f = rng.integers(0, k, size=n)
+            q = np.bincount(f, weights=p, minlength=k)
+            if i % 4 == 3:
+                q = nudged(rng, q)
+            elif i % 4 == 2:
+                q = grids[k][int(rng.integers(len(grids[k])))].weights
+            p, q = Dist(p), Dist(q)
+            res = exists_deterministic_map(p, q)
+            want = undeduplicated_deterministic_map(p, q)
+            assert res.feasible == (want is not None), (p, q)
+            if want is not None:
+                assert np.array_equal(res.witness.entries, want.entries), (p, q)
+            verdicts.append(res.feasible)
+        assert 0.3 < np.mean(verdicts) < 0.9
+        # an entry of q within the tolerance needs no outcome of its own
+        p, q = Dist([1.0]), Dist([1 - 1e-12, 1e-12])
+        assert exists_deterministic_map(p, q).feasible
+        assert undeduplicated_deterministic_map(p, q) is not None
+
+    def test_equal_entries_of_q_agree_with_undeduplicated_search(self, rng):
+        # k equal entries of q, each cut into whole twelfths and shuffled,
+        # so a function exists: an entry tried first can fail where an
+        # equal one, filled differently, succeeds
+        for _ in range(300):
+            k = int(rng.integers(2, 4))
+            cuts = [sorted(rng.choice(np.arange(1, 12), size=int(rng.integers(3)),
+                                      replace=False)) for _ in range(k)]
+            p = rng.permutation(np.concatenate([np.diff([0, *c, 12]) for c in cuts]))
+            p, q = Dist(p / p.sum()), Dist.uniform(k)
+            res = exists_deterministic_map(p, q)
+            assert res.feasible, (p, q)
+            assert np.array_equal(res.witness.entries,
+                                  undeduplicated_deterministic_map(p, q).entries), (p, q)
+
+    def test_more_entries_in_q_than_outcomes_is_refused_without_search(self, monkeypatch):
+        monkeypatch.setattr(lp, "DETERMINISTIC_NODE_BUDGET", 0)
+        assert not exists_deterministic_map(Dist([0.5, 0.5, 0.0]), Dist([0.4, 0.3, 0.3])).feasible
+        with pytest.raises(SizeLimitError):
+            exists_deterministic_map(Dist([0.5, 0.5]), Dist([1.0]))
+
+    def test_node_budget(self, monkeypatch):
+        # twelve distinct weights into two near halves: no split is exact
+        p = Dist(np.arange(1, 13) / 78)
+        q = Dist([0.5 + 1e-3, 0.5 - 1e-3])
+        assert not exists_deterministic_map(p, q).feasible
+        monkeypatch.setattr(lp, "DETERMINISTIC_NODE_BUDGET", 100)
+        with pytest.raises(SizeLimitError, match="100 nodes"):
+            exists_deterministic_map(p, q)

@@ -19,14 +19,19 @@ from kanext.prob import (
     lorenz_csv,
     lorenz_curve,
     majorization_mask,
-    majorizes,
     random_uniform_matrix,
     relative_majorization_mask,
     relatively_majorizes,
     shannon_entropy,
     simplex_grid,
 )
-from maps import apply, is_deterministic, is_uniform_matrix, random_deterministic
+from maps import (
+    apply,
+    is_deterministic,
+    is_uniform_matrix,
+    majorizes,
+    random_deterministic,
+)
 
 
 def normalized(ws) -> Dist:

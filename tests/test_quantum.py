@@ -70,6 +70,11 @@ class TestDensityMatrix:
         again = DensityMatrix(complex_matrix_from_json(complex_matrix_to_json(rho.entries)))
         assert np.allclose(again.entries, rho.entries)
 
+    @pytest.mark.parametrize("entry", [[True, 0], [1, False]])
+    def test_json_bools_are_not_numbers(self, entry):
+        with pytest.raises(InvariantViolation):
+            complex_matrix_from_json([[entry, [0, 0]], [[0, 0], [0, 0]]])
+
 
 class TestBipartitePure:
     def test_rejects_nan_amplitude(self):
