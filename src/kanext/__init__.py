@@ -48,7 +48,7 @@ from .kan import (
     FunctorMap,
     extension,
     verify_monotonicity,
-    verify_optimality_bruteforce,
+    verify_optimality,
     verify_reduction,
 )
 from .theories import default_registry, make_functor, make_monotone

@@ -1,8 +1,9 @@
 """Randomized finite toy theories for ``verify optimality``.
 
 A toy theory is given directly by its free-reachability matrix.  The
-sampled ones are random preorders on a few objects, small enough that
-every competitor monotone on them can be enumerated.
+sampled ones are random preorders on a few objects, with monotone values
+drawn from the fixed grid TOY_GRID, which also holds the values of every
+competitor monotone that ``verify optimality`` compares against.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from .kan import ExtensionProblem, FunctorMap
 from .pcat import CONTRAVARIANT, COVARIANT, Decision, MonotoneSpec, ReachabilityOracle, ResourceRef
 from .prob import INF, ExtValue, InvariantViolation
 
-DEFAULT_TOY_GRID: tuple[ExtValue, ...] = (0.0, 0.5, 1.0, 2.0, INF)
+TOY_ID = "toy"
+TOY_GRID: tuple[ExtValue, ...] = (0.0, 0.5, 1.0, 2.0, INF)
+# chance that a random preorder draws each edge before closure
+EDGE_DENSITY = 0.35
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,7 +27,6 @@ class ToyTheory:
     """A finite theory given directly by its free-reachability matrix."""
 
     relation: np.ndarray
-    theory_id: str = "toy"
 
     def __post_init__(self):
         rel = np.asarray(self.relation, dtype=bool)
@@ -33,7 +36,7 @@ class ToyTheory:
         rel.setflags(write=False)
         object.__setattr__(self, "relation", rel)
         object.__setattr__(
-            self, "_objects", tuple(ResourceRef(self.theory_id, i) for i in range(n))
+            self, "_objects", tuple(ResourceRef(TOY_ID, i) for i in range(n))
         )
 
     @property
@@ -44,32 +47,31 @@ class ToyTheory:
         def decide(a: ResourceRef, b: ResourceRef) -> Decision:
             return Decision(bool(self.relation[a.payload, b.payload]))
 
-        return ReachabilityOracle(self.theory_id, decide, exact=True)
+        return ReachabilityOracle(TOY_ID, decide, exact=True)
 
 
-def random_preorder(rng: np.random.Generator, n: int, density: float = 0.35) -> np.ndarray:
+def random_preorder(rng: np.random.Generator, n: int) -> np.ndarray:
     """Reflexive-transitive closure of a random edge set on n objects."""
-    rel = np.eye(n, dtype=bool) | (rng.random((n, n)) < density)
+    rel = np.eye(n, dtype=bool) | (rng.random((n, n)) < EDGE_DENSITY)
     for k in range(n):
         rel |= np.outer(rel[:, k], rel[k, :])
     return rel
 
 
 def random_toy_problem(
-    rng: np.random.Generator,
-    grid: tuple[ExtValue, ...] = DEFAULT_TOY_GRID,
-    max_objects: int = 6,
+    rng: np.random.Generator, max_objects: int = 6
 ) -> tuple[ExtensionProblem, list[ResourceRef], tuple[ExtValue, ...]]:
-    """A random fully-enumerable extension problem over a toy target theory.
+    """A random extension problem over a toy target theory of 2 to
+    ``max_objects`` objects, those objects, and the value grid.
 
-    The source theory is discrete (identities only), so any grid assignment
-    of candidate values is a valid monotone of either variance.
+    The source theory is discrete (identities only), so any assignment of
+    TOY_GRID values to candidates is a valid monotone of either variance.
     """
     n = int(rng.integers(2, max_objects + 1))
     theory = ToyTheory(random_preorder(rng, n))
     n_candidates = int(rng.integers(1, n + 1))
     image_index = rng.integers(0, n, size=n_candidates)
-    values = {k: grid[int(rng.integers(0, len(grid)))] for k in range(n_candidates)}
+    values = {k: TOY_GRID[int(rng.integers(0, len(TOY_GRID)))] for k in range(n_candidates)}
     variance = COVARIANT if rng.random() < 0.5 else CONTRAVARIANT
 
     objects = theory.objects
@@ -78,10 +80,10 @@ def random_toy_problem(
     functor = FunctorMap(
         "toy_embed",
         "toy_src",
-        theory.theory_id,
+        TOY_ID,
         lambda ref: objects[image_index[ref.payload]],
     )
     problem = ExtensionProblem(
         monotone, functor, theory.oracle(), candidates, candidates_complete=True
     )
-    return problem, list(objects), grid
+    return problem, list(objects), TOY_GRID

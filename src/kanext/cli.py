@@ -27,7 +27,7 @@ from .kan import (
     ExtensionProblem,
     extension,
     verify_monotonicity,
-    verify_optimality_bruteforce,
+    verify_optimality,
     verify_reduction,
 )
 from .lp import joint_map_mask, uniform_map_mask
@@ -71,9 +71,9 @@ GRID_STEP_RANGE = (0.01, 0.25)
 # batched simplex; the default grid (length 3, step 0.05) has 53,361.
 HLP_PAIRS_CAP = 60_000
 # Largest verify sizes, checked before any sampling: sample counts, sampled
-# measurement bases, distribution lengths and toy-theory objects.  Each sits
-# well above what the tests, the README and the benchmark use (at most 200
-# samples, 50 bases, length 4 and 12 objects).
+# measurement bases, distribution lengths and toy-theory objects.  The first
+# three sit well above what the tests, the README and the benchmark use (at
+# most 200 samples, 50 bases and length 4); a test runs the object cap.
 SAMPLES_CAP = 1_000
 BASES_CAP = 1_000
 LENGTH_CAP = 16
@@ -358,13 +358,14 @@ def _verify_monotonicity(cfg: dict, rng: np.random.Generator) -> dict:
 
 def _verify_optimality(cfg: dict, rng: np.random.Generator) -> dict:
     samples = _samples(cfg, 50)
+    # each toy theory has between 2 and max_objects objects
     max_objects = _number(
-        cfg.get("max_objects", 6), "max_objects", at_most=MAX_OBJECTS_CAP
+        cfg.get("max_objects", 6), "max_objects", at_least=2, at_most=MAX_OBJECTS_CAP
     )
     violations = []
     for i in range(samples):
         problem, objects, grid = random_toy_problem(rng, max_objects=max_objects)
-        report = verify_optimality_bruteforce(problem, objects, grid)
+        report = verify_optimality(problem, objects, grid)
         if not report["passed"]:
             violations.append({"problem": i, "violations": report["violations"]})
     return {"passed": not violations, "checked": samples, "violations": violations}
@@ -476,9 +477,9 @@ def cmd_verify(cfg: dict) -> tuple[int, dict]:
     doc = {
         "command": "verify",
         "property": prop,
-        "passed": bool(result["passed"]),
-        "checked": int(result.get("checked", 0)),
-        "violations": result.get("violations", []),
+        "passed": result["passed"],
+        "checked": result["checked"],
+        "violations": result["violations"],
     }
     extras = {
         k: v for k, v in result.items() if k not in ("passed", "checked", "violations")

@@ -19,6 +19,9 @@ The four rows collapse to one boolean per side,
 hypothesis in the optimality check and the direction of the universal
 property (a competitor G satisfies G <= ext iff ``takes_inf``).
 ``extension`` computes both sides in one sweep over the candidates.
+``verify_optimality`` checks that property on a finite target theory in
+closed form: on each side one extreme competitor bounds every other, so it
+is the only one compared, and no competitor is enumerated.
 
 Where the target theory is ordered by relative majorization of
 dichotomies, admissibility needs no image object.  A joint stochastic map
@@ -56,10 +59,6 @@ from .pcat import (
     ext_leq,
     preorder_collapse,
 )
-
-
-class EnumerationBudgetError(ValueError):
-    """Brute-force competitor enumeration would exceed the budget."""
 
 
 @dataclass(frozen=True)
@@ -281,47 +280,13 @@ def verify_monotonicity(
     return {"passed": not violations, "checked": len(target_pairs), "violations": violations}
 
 
-def _enumerate_monotones(relation, grid, bounds, upper, covariant):
-    """DFS over grid assignments respecting the free relation and per-object
-    bounds (from above when ``upper``, from below otherwise); prunes as soon
-    as a partial assignment fails."""
-    n = relation.shape[0]
-    values = [None] * n
-    # a contravariant assignment ascends along the reversed arrows
-    ascends = (relation if covariant else relation.T).tolist()
-
-    def respects(t, g):
-        b = bounds[t]
-        if b is not None and not (ext_leq(g, b) if upper else ext_leq(b, g)):
-            return False
-        for s in range(t):
-            if ascends[s][t] and not ext_leq(values[s], g):
-                return False
-            if ascends[t][s] and not ext_leq(g, values[s]):
-                return False
-        return True
-
-    def walk(t):
-        if t == n:
-            yield tuple(values)
-            return
-        for g in grid:
-            if respects(t, g):
-                values[t] = g
-                yield from walk(t + 1)
-                values[t] = None
-
-    yield from walk(0)
-
-
-def verify_optimality_bruteforce(
+def verify_optimality(
     prob: ExtensionProblem,
     target_objects: list[ResourceRef],
     value_grid: tuple[ExtValue, ...],
-    budget: int = 5_000_000,
 ) -> dict:
-    """Enumerate every competitor monotone on a finite target theory and
-    confirm the universal property of both extensions.
+    """Confirm the universal property of both extensions against every
+    grid-valued competitor monotone on a finite target theory.
 
     A competitor G assigns grid values to target objects, respects the free
     relation per the variance, and obeys the hypothesis on images of the
@@ -331,19 +296,28 @@ def verify_optimality_bruteforce(
     extension dominates every competitor and the maximal one is dominated
     by all of them.  Comparisons are exact.
 
+    No competitor is enumerated: each side is decided by its extreme one.
+    On a side that ``takes_inf``, let ``ascends`` be the free relation
+    (its transpose when contravariant), along which every competitor
+    ascends, and let G*(t) be the largest grid value at or below every
+    image bound M(X) with ``ascends[t, K(X)]``.  G* is monotone, because
+    by transitivity an object below t sees every bound that t sees; it
+    meets the bound at each image K(X), because ``ascends`` is reflexive;
+    and every competitor G satisfies G(t) <= G(K X) <= M(X) for each of
+    those bounds, so G <= G*.  The side therefore passes iff G* <= ext at
+    every object.  The sup side is the dual: G*(t) is the least grid value
+    at or above every bound M(X) with ``ascends[K(X), t]``.  If some object
+    has no admissible grid value, no competitor exists and the side passes.
+
     The free relation comes from ``pcat.preorder_collapse``, so an oracle
     that is inexact, irreflexive or intransitive on the target objects
-    raises before any competitor is enumerated.  Returns ``passed``, one
-    message per beaten extension value in ``violations``, and the number
-    of competitors enumerated for each side.
+    raises before any side is checked.  Returns ``passed`` and one message
+    per beaten (side, object) pair in ``violations``, giving G*'s value.
     """
-    n = len(target_objects)
-    if len(value_grid) ** n > budget:
-        raise EnumerationBudgetError(
-            f"{len(value_grid)}^{n} assignments exceed budget {budget}"
-        )
     covariant = prob.monotone.variance == COVARIANT
     relation = preorder_collapse(prob.target_oracle, target_objects)
+    # a contravariant competitor ascends along the reversed arrows
+    ascends = relation if covariant else relation.T
 
     index_of = {id(ref): i for i, ref in enumerate(target_objects)}
 
@@ -355,47 +329,31 @@ def verify_optimality_bruteforce(
                 return i
         raise ValueError("functor image is not among the target objects")
 
-    images = [locate(prob.functor.map_object(x)) for x in prob.candidates]
-    mvals = [prob.monotone.evaluate(x) for x in prob.candidates]
-
+    bounds = [
+        (locate(prob.functor.map_object(x)), prob.monotone.evaluate(x))
+        for x in prob.candidates
+    ]
     results = [extension(prob, y) for y in target_objects]
-    minimal_values = tuple(lo.value for lo, _ in results)
-    maximal_values = tuple(hi.value for _, hi in results)
-
-    # Collapse the hypothesis on images to one bound per target object.
-    def image_bounds(upper: bool):
-        bounds: list[ExtValue | None] = [None] * n
-        for t, m in zip(images, mvals):
-            if bounds[t] is None:
-                bounds[t] = m
-            elif upper:
-                bounds[t] = min(bounds[t], m)
-            else:
-                bounds[t] = max(bounds[t], m)
-        return bounds
 
     violations: list[str] = []
-    counts = []
     for side, ext_values, takes_inf in (
-        ("minimal", minimal_values, covariant),
-        ("maximal", maximal_values, not covariant),
+        ("minimal", [lo.value for lo, _ in results], covariant),
+        ("maximal", [hi.value for _, hi in results], not covariant),
     ):
-        count = 0
-        for g in _enumerate_monotones(
-            relation, value_grid, image_bounds(upper=takes_inf), takes_inf, covariant
-        ):
-            count += 1
-            for t in range(n):
-                if not _ordered(g[t], ext_values[t], takes_inf):
+        # sees[t][k]: the bound at image k constrains G(t)
+        sees = (ascends if takes_inf else ascends.T).tolist()
+        extreme = []
+        for t in range(len(target_objects)):
+            seen = [m for k, m in bounds if sees[t][k]]
+            fits = [g for g in value_grid if all(_ordered(g, m, takes_inf) for m in seen)]
+            if not fits:
+                break  # no competitor exists, so the side passes
+            extreme.append(max(fits) if takes_inf else min(fits))
+        else:
+            for t, (g, ext) in enumerate(zip(extreme, ext_values)):
+                if not _ordered(g, ext, takes_inf):
                     violations.append(
-                        f"{side} extension beaten at object {t}: "
-                        f"G={g[t]} vs {ext_values[t]}"
+                        f"{side} extension beaten at object {t}: G={g} vs {ext}"
                     )
-        counts.append(count)
 
-    return {
-        "passed": not violations,
-        "competitors_minimal": counts[0],
-        "competitors_maximal": counts[1],
-        "violations": violations,
-    }
+    return {"passed": not violations, "violations": violations}

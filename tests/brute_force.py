@@ -1,6 +1,7 @@
 """Brute-force searches that only the tests use.
 
-Both extensions re-evaluated by explicit looping, a pairwise monotonicity
+Both extensions re-evaluated by explicit looping, the optimality check by
+enumerating every grid-valued competitor monotone, a pairwise monotonicity
 check, a grid search for uniform maps with the grid spec it enumerates,
 the deterministic-map search without its pruning, and a sampled upper
 bound on the Schmidt number of mixed states.  Nothing here shares
@@ -64,6 +65,85 @@ def bf_maximal_extension(problem: ExtensionProblem, y: ResourceRef) -> ExtValue:
     if best is None:
         return 0.0 if covariant else INF
     return best
+
+
+def _enumerate_monotones(relation, grid, bounds, upper, covariant):
+    """DFS over grid assignments respecting the free relation and per-object
+    bounds (from above when ``upper``, from below otherwise); prunes as soon
+    as a partial assignment fails."""
+    n = len(relation)
+    values = [None] * n
+    # a contravariant assignment ascends along the reversed arrows
+    ascends = [[relation[s][t] if covariant else relation[t][s] for t in range(n)]
+               for s in range(n)]
+
+    def respects(t, g):
+        b = bounds[t]
+        if b is not None and not (g <= b if upper else b <= g):
+            return False
+        for s in range(t):
+            if ascends[s][t] and not values[s] <= g:
+                return False
+            if ascends[t][s] and not g <= values[s]:
+                return False
+        return True
+
+    def walk(t):
+        if t == n:
+            yield tuple(values)
+            return
+        for g in grid:
+            if respects(t, g):
+                values[t] = g
+                yield from walk(t + 1)
+                values[t] = None
+
+    yield from walk(0)
+
+
+def bf_beaten_extensions(
+    problem: ExtensionProblem,
+    objects: list[ResourceRef],
+    grid: tuple[ExtValue, ...],
+    ext_values: list[tuple[ExtValue, ExtValue]],
+) -> tuple[set[tuple[str, int]], tuple[int, int]]:
+    """Enumerate every grid-valued competitor monotone on a finite target
+    theory and test the universal property of the given (minimal, maximal)
+    extension values, one pair per object.
+
+    A competitor respects the oracle's relation per the variance and obeys
+    the hypothesis on images: G(K X) <= M(X) on the side that takes an inf,
+    >= on the side that takes a sup.  Returns the (side, object index)
+    pairs where some competitor beats the extension value, and the number
+    of competitors enumerated on the minimal and the maximal side.
+    """
+    covariant = problem.monotone.variance == COVARIANT
+    relation = [
+        [problem.target_oracle.decide(a, b).reachable for b in objects] for a in objects
+    ]
+    hypotheses = [
+        (objects.index(problem.functor.map_object(x)), problem.monotone.evaluate(x))
+        for x in problem.candidates
+    ]
+    beaten = set()
+    counts = []
+    for index, (side, takes_inf) in enumerate(
+        (("minimal", covariant), ("maximal", not covariant))
+    ):
+        # the tightest hypothesis on each object
+        bounds = [None] * len(objects)
+        for t, m in hypotheses:
+            if bounds[t] is None or (m < bounds[t] if takes_inf else m > bounds[t]):
+                bounds[t] = m
+        count = 0
+        for g in _enumerate_monotones(relation, grid, bounds, takes_inf, covariant):
+            count += 1
+            for t, values in enumerate(ext_values):
+                ext = values[index]
+                if not (g[t] <= ext if takes_inf else ext <= g[t]):
+                    beaten.add((side, t))
+        counts.append(count)
+    return beaten, tuple(counts)
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from brute_force import bf_maximal_extension, bf_minimal_extension
+from brute_force import bf_beaten_extensions, bf_maximal_extension, bf_minimal_extension
 from conftest import bell_state, ghz3_state, product_state
 from kanext.bf_oracle import random_toy_problem
 from kanext.kan import (
     ExtensionProblem,
     extension,
-    verify_optimality_bruteforce,
+    verify_optimality,
     verify_reduction,
 )
 from kanext.lp import exists_joint_stochastic_map, uniform_map_mask
@@ -141,9 +141,11 @@ def test_criterion_3_ff_reduction():
 
 
 def test_criterion_4_reduction_monotonicity_optimality():
-    """On 500 enumerable toy problems the engine must equal brute force
-    exactly, satisfy the variance-appropriate sandwich on every source
-    sample, and win against every enumerated competitor monotone."""
+    """On 500 toy problems the engine must equal brute force exactly,
+    satisfy the variance-appropriate sandwich on every source sample, and
+    win against every competitor monotone: against the extreme one in the
+    engine's check, and against every enumerated one in the brute-force
+    check of the brute-force extension values."""
     start = time.time()
     mismatches = 0
     sandwich_failures = 0
@@ -151,15 +153,19 @@ def test_criterion_4_reduction_monotonicity_optimality():
     for i in range(500):
         rng = np.random.default_rng(31000 + i)
         problem, objects, grid = random_toy_problem(rng, max_objects=8)
+        bf_values = []
         for y in objects:
             lo, hi = extension(problem, y)
-            if lo.value != bf_minimal_extension(problem, y):
+            bf_values.append((bf_minimal_extension(problem, y), bf_maximal_extension(problem, y)))
+            if lo.value != bf_values[-1][0]:
                 mismatches += 1
-            if hi.value != bf_maximal_extension(problem, y):
+            if hi.value != bf_values[-1][1]:
                 mismatches += 1
         if not verify_reduction(problem, list(problem.candidates))["passed"]:
             sandwich_failures += 1
-        if not verify_optimality_bruteforce(problem, objects, grid)["passed"]:
+        if not verify_optimality(problem, objects, grid)["passed"]:
+            optimality_failures += 1
+        if bf_beaten_extensions(problem, objects, grid, bf_values)[0]:
             optimality_failures += 1
     elapsed = time.time() - start
     ok = (

@@ -532,10 +532,6 @@ class TestUsageErrors:
             {"command": "reach", "theory": "cdistinguish",
              "source": [[0.2, 0.3, 0.5], [0.4, 0.6]],
              "target": [[0.2, 0.3, 0.5], [0.4, 0.6]]},
-            # seed 0 draws a first toy problem of at least 10 objects, past
-            # the enumeration budget
-            {"command": "verify", "property": "optimality", "samples": 1,
-             "max_objects": 12, "seed": 0},
             {"command": "extend", "theory": "rand_uniform", "functor": "identity",
              "monotone": "shannon", "variance": "covariant",
              "target": [0.2, 0.3, 0.5],
@@ -543,7 +539,7 @@ class TestUsageErrors:
             {"command": "reach", "theory": "rand_detmn",
              "source": [1 / 13] * 13, "target": [0.5, 0.5]},
         ],
-        ids=["dimension_mismatch", "enumeration_budget", "grid_length_0", "size_limit"],
+        ids=["dimension_mismatch", "grid_length_0", "size_limit"],
     )
     def test_library_errors_exit_2_with_one_line(self, tmp_path, capsys, cfg):
         path = tmp_path / "config.json"
@@ -679,6 +675,24 @@ class TestUsageErrors:
         # at the cap the config is admitted, so it reaches the first sampler
         with pytest.raises(Sampled):
             run_at(cap)
+
+    @pytest.mark.parametrize("max_objects", [1, -3])
+    def test_max_objects_below_two_exits_2_naming_the_key(
+        self, tmp_path, capsys, max_objects
+    ):
+        # each toy theory draws its object count from [2, max_objects]
+        cfg = {"command": "verify", "property": "optimality", "samples": 1,
+               "max_objects": max_objects}
+        assert run_main(tmp_path, cfg) == (2, "")
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "'max_objects' must be at least 2" in err
+
+    def test_optimality_at_the_object_cap_passes(self, tmp_path):
+        code, out = run_main(tmp_path, {"command": "verify", "property": "optimality",
+                                        "max_objects": cli.MAX_OBJECTS_CAP, "seed": 0})
+        assert code == 0
+        assert json.loads(out)["checked"] == 50
 
     @pytest.mark.parametrize(
         "cfg",

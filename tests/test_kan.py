@@ -4,16 +4,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from brute_force import bf_maximal_extension, bf_minimal_extension
+from brute_force import bf_beaten_extensions, bf_maximal_extension, bf_minimal_extension
 from conftest import bell_state, product_state, sparse_dist
-from kanext import quantum, theories
+from kanext import kan, quantum, theories
+from kanext.bf_oracle import random_toy_problem
 from kanext.kan import (
-    EnumerationBudgetError,
     ExtensionProblem,
     FunctorMap,
     extension,
     verify_monotonicity,
-    verify_optimality_bruteforce,
+    verify_optimality,
     verify_reduction,
 )
 from kanext.pcat import (
@@ -598,43 +598,108 @@ class TestVerifyMonotonicity:
             verify_monotonicity(prob, [(y, y2)])
 
 
+def chain_problem(values: dict[int, float]):
+    """Covariant candidate values on the chain 0 -> 1 -> 2, candidate k
+    mapped to object k, and the chain's objects."""
+    chain = np.array(
+        [[True, True, True], [False, True, True], [False, False, True]]
+    )
+
+    def decide(a, b):
+        return Decision(bool(chain[a.payload, b.payload]))
+
+    oracle = ReachabilityOracle("chain", decide, exact=True)
+    objects = [ResourceRef("chain", i) for i in range(3)]
+    prob = ExtensionProblem(
+        MonotoneSpec("grid_values", lambda r: values[r.payload], COVARIANT),
+        FunctorMap("into_chain", "src", "chain", lambda r: objects[r.payload]),
+        oracle,
+        tuple(ResourceRef("src", k) for k in values),
+        candidates_complete=True,
+    )
+    return prob, objects
+
+
+def extension_values(prob, objects):
+    return [tuple(side.value for side in extension(prob, y)) for y in objects]
+
+
+def beaten_pairs(report) -> set[tuple[str, int]]:
+    """(side, object) of each "{side} extension beaten at object {t}: ..."."""
+    pairs = set()
+    for message in report["violations"]:
+        side, rest = message.split(" extension beaten at object ")
+        pairs.add((side, int(rest.split(":")[0])))
+    return pairs
+
+
 class TestVerifyOptimality:
     def test_three_object_chain(self):
-        chain = np.array(
-            [[True, True, True], [False, True, True], [False, False, True]]
-        )
+        prob, objects = chain_problem({0: 2.0, 1: 0.5})
+        assert verify_optimality(prob, objects, (0.0, 0.5, 1.0, 2.0, INF))["passed"]
 
-        def decide(a, b):
-            return Decision(bool(chain[a.payload, b.payload]))
-
-        oracle = ReachabilityOracle("chain", decide, exact=True)
-        objects = [ResourceRef("chain", i) for i in range(3)]
-        values = {0: 2.0, 1: 0.5}
-        prob = ExtensionProblem(
-            MonotoneSpec("grid_values", lambda r: values[r.payload], COVARIANT),
-            FunctorMap("into_chain", "src", "chain", lambda r: objects[r.payload]),
-            oracle,
-            (ResourceRef("src", 0), ResourceRef("src", 1)),
-            candidates_complete=True,
+    def test_enumeration_counts_chain_competitors(self):
+        # minimal side: G0 <= G1 <= G2 with G0 <= 2 and G1 <= 0.5, 13 in all;
+        # maximal side: G0 <= G1 <= G2 with G0 >= 2 and G1 >= 0.5, 4 in all
+        prob, objects = chain_problem({0: 2.0, 1: 0.5})
+        beaten, counts = bf_beaten_extensions(
+            prob, objects, (0.0, 0.5, 1.0, 2.0, INF), extension_values(prob, objects)
         )
-        report = verify_optimality_bruteforce(prob, objects, (0.0, 0.5, 1.0, 2.0, INF))
-        assert report["passed"]
-        assert report["competitors_minimal"] > 0
-        assert report["competitors_maximal"] > 0
+        assert beaten == set()
+        assert counts == (13, 4)
 
-    def test_budget_guard(self):
-        never = ReachabilityOracle("big", lambda a, b: Decision(True), exact=True)
-        objects = [ResourceRef("big", i) for i in range(10)]
-        prob = ExtensionProblem(
-            MonotoneSpec("zero", lambda r: 0.0, COVARIANT),
-            identity_functor("big"),
-            never,
-            (objects[0],),
+    def test_agrees_with_enumeration(self, monkeypatch):
+        """The extreme competitor gives the enumeration's verdict and beaten
+        (side, object) pairs on 2,000 toy problems; in every second one, one
+        extension value is replaced by a random grid value."""
+        real = kan.extension
+        failed = 0
+        for i in range(2000):
+            rng = np.random.default_rng(52000 + i)
+            problem, objects, grid = random_toy_problem(rng)
+            values = extension_values(problem, objects)
+            if i % 2:
+                t, side = int(rng.integers(len(objects))), int(rng.integers(2))
+                row = list(values[t])
+                row[side] = grid[int(rng.integers(len(grid)))]
+                values[t] = tuple(row)
+
+            def perturbed(prob, y, values=values, objects=objects):
+                results = real(prob, y)
+                row = values[objects.index(y)]
+                return tuple(dataclasses.replace(r, value=v) for r, v in zip(results, row))
+
+            monkeypatch.setattr(kan, "extension", perturbed)
+            report = verify_optimality(problem, objects, grid)
+            beaten, _ = bf_beaten_extensions(problem, objects, grid, values)
+            assert beaten_pairs(report) == beaten, i
+            assert report["passed"] == (not beaten), i
+            failed += not report["passed"]
+        # the perturbed half must exercise the failing verdict
+        assert failed > 100
+
+    @pytest.mark.parametrize(
+        "grid,beaten",
+        [((1.0, 2.0, INF), set()), ((0.5, 1.0), {("minimal", t) for t in range(3)})],
+        ids=["no_competitor", "competitor"],
+    )
+    def test_side_without_competitors_passes(self, monkeypatch, grid, beaten):
+        # Every object reaches object 2, whose image bound 0.5 caps the
+        # minimal side's competitors there.  With no grid value at or below
+        # 0.5 no competitor exists, so even a wrong minimal extension of 0
+        # is not beaten.
+        prob, objects = chain_problem({2: 0.5})
+        real = kan.extension
+        monkeypatch.setattr(
+            kan,
+            "extension",
+            lambda p, y: (dataclasses.replace(real(p, y)[0], value=0.0), real(p, y)[1]),
         )
-        with pytest.raises(EnumerationBudgetError):
-            verify_optimality_bruteforce(
-                prob, objects, (0.0, 0.5, 1.0, 2.0, INF), budget=1000
-            )
+        values = [(0.0, hi) for _, hi in extension_values(prob, objects)]
+        report = verify_optimality(prob, objects, grid)
+        assert beaten_pairs(report) == beaten
+        assert report["passed"] == (not beaten)
+        assert bf_beaten_extensions(prob, objects, grid, values)[0] == beaten
 
     @pytest.mark.parametrize(
         "relation",
@@ -655,4 +720,4 @@ class TestVerifyOptimality:
             (objects[0],),
         )
         with pytest.raises(OracleSoundnessError):
-            verify_optimality_bruteforce(prob, objects, (0.0, 1.0, INF))
+            verify_optimality(prob, objects, (0.0, 1.0, INF))
