@@ -19,6 +19,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -31,12 +33,13 @@ from .kan import (
     verify_reduction,
 )
 from .lp import joint_map_mask, uniform_map_mask
-from .pcat import CONTRAVARIANT, COVARIANT, VALUE_SLACK, ResourceRef, ext_leq
+from .pcat import CONTRAVARIANT, COVARIANT, VALUE_SLACK, DistRows, ResourceRef, ext_leq
 from .prob import (
     Dist,
     InvariantViolation,
+    dist_rows,
     ext_to_json,
-    kl_divergence,
+    kl_rows,
     lorenz_csv,
     lorenz_curve,
     majorization_mask,
@@ -86,6 +89,8 @@ PAYLOAD_LENGTH_CAP = 64
 COINCIDENCE_TOL = 1e-6
 # JSON values that numpy would read as numbers in a weight list.
 _NOT_NUMBERS = frozenset((bool, str))
+# The types of the JSON numbers a weight list may hold.
+_NUMBERS = frozenset((int, float))
 
 
 class ConfigError(ValueError):
@@ -190,10 +195,43 @@ def _grid_step(value) -> float:
     return step
 
 
-def build_candidates(cfg: dict, source_kind: str, target_payload) -> tuple[tuple, bool]:
-    """Materialize the candidate payload list from its config spec.
+def _dist_matrices(kind: str, objects: list) -> tuple[np.ndarray, ...] | None:
+    """An explicit list of ``dist`` or ``dist_pair`` payloads as checked
+    weight matrices (one, or a p and a q matrix), each validated once by
+    ``dist_rows``; or None unless every payload is a list (of two lists,
+    for pairs) of JSON numbers, all of one length within the payload cap,
+    and every distribution holds.  The per-payload path then builds a
+    family of mixed lengths or raises the error of the first bad payload.
+    """
+    depth = 1 if kind == "dist" else 2
+    try:
+        entries = objects
+        for _ in range(depth):
+            entries = list(chain.from_iterable(entries))
+        if not _NUMBERS.issuperset(map(type, entries)):
+            return None
+        weights = np.asarray(objects, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if weights.shape[1:-1] != (2,) * (depth - 1) or weights.shape[-1] > PAYLOAD_LENGTH_CAP:
+        return None
+    # components one after another, so that each matrix is one block of rows
+    rows = np.moveaxis(weights, -2, 0).reshape(-1, weights.shape[-1])
+    try:
+        checked = dist_rows(rows)
+    except InvariantViolation:
+        return None
+    return tuple(np.split(checked, depth))
 
-    Returns (payloads, complete): ``complete`` is true only for the spectral
+
+def build_candidates(
+    cfg: dict, source_theory: str, source_kind: str, target_payload
+) -> tuple[Sequence[ResourceRef], bool]:
+    """Materialize the candidate family from its config spec: a
+    ``DistRows`` for distribution-valued ones of one length, else a tuple
+    of objects.
+
+    Returns (family, complete): ``complete`` is true only for the spectral
     family, which provably captures the unital classical boundary.
     """
     spec = _require(cfg, "candidates")
@@ -204,13 +242,18 @@ def build_candidates(cfg: dict, source_kind: str, target_payload) -> tuple[tuple
         objects = _require(spec, "objects")
         if not isinstance(objects, list):
             raise ConfigError("config key 'objects' must be a list")
-        return tuple(parse_payload(source_kind, obj) for obj in objects), False
+        if objects and source_kind in ("dist", "dist_pair"):
+            weights = _dist_matrices(source_kind, objects)
+            if weights is not None:
+                return DistRows(source_theory, weights), False
+        payloads = (parse_payload(source_kind, obj) for obj in objects)
+        return tuple(ResourceRef(source_theory, p) for p in payloads), False
     if kind == "grid":
         if source_kind != "dist":
             raise ConfigError("grid candidates need a distribution-valued source")
         step = _grid_step(_require(spec, "step"))
         length = _number(_require(spec, "length"), "length")
-        return tuple(simplex_grid(length, step)), False
+        return DistRows(source_theory, (simplex_grid(length, step),)), False
     if kind == "spectral":
         if not isinstance(target_payload, DensityMatrix):
             raise ConfigError("spectral candidates need a density-matrix target")
@@ -219,8 +262,13 @@ def build_candidates(cfg: dict, source_kind: str, target_payload) -> tuple[tuple
                 "spectral candidates are distributions; the functor's source "
                 "theory must be distribution-valued"
             )
-        return (target_payload.spectrum.eigenvalues,), True
+        return _spectral_rows(source_theory, target_payload), True
     raise ConfigError(f"unknown candidate kind {kind!r}")
+
+
+def _spectral_rows(theory_id: str, rho: DensityMatrix) -> DistRows:
+    """rho's spectrum as a family of one distribution."""
+    return DistRows(theory_id, (rho.spectrum.eigenvalues.weights[None],))
 
 
 def cmd_reach(cfg: dict) -> tuple[int, dict]:
@@ -275,13 +323,11 @@ def cmd_extend(cfg: dict) -> tuple[int, dict]:
         )
     monotone = make_monotone(monotone_id, variance)
     target_payload = parse_payload(entry.kind, _require(cfg, "target"))
-    payloads, complete = build_candidates(cfg, source_kind, target_payload)
+    candidates, complete = build_candidates(
+        cfg, functor.source_theory, source_kind, target_payload
+    )
     problem = ExtensionProblem(
-        monotone,
-        functor,
-        entry.oracle,
-        tuple(ResourceRef(functor.source_theory, p) for p in payloads),
-        candidates_complete=complete,
+        monotone, functor, entry.oracle, candidates, candidates_complete=complete
     )
     lo, hi = extension(problem, ResourceRef(theory_id, target_payload))
     doc = {
@@ -297,13 +343,13 @@ def cmd_extend(cfg: dict) -> tuple[int, dict]:
     return EXIT_OK, doc
 
 
-def _shannon_embedding_problem(candidates: tuple[Dist, ...]) -> ExtensionProblem:
+def _shannon_embedding_problem(candidates: Sequence[ResourceRef]) -> ExtensionProblem:
     registry = default_registry()
     return ExtensionProblem(
         make_monotone("shannon", COVARIANT),
         make_functor("classical_to_quantum"),
         registry.oracle("qrand_quniform"),
-        tuple(ResourceRef(RAND_UNIFORM, p) for p in candidates),
+        candidates,
         candidates_complete=False,
     )
 
@@ -311,8 +357,11 @@ def _shannon_embedding_problem(candidates: tuple[Dist, ...]) -> ExtensionProblem
 def _verify_reduction(cfg: dict, rng: np.random.Generator) -> dict:
     samples = _samples(cfg, 50)
     length = _length(cfg, "length", 3)
-    dists = tuple(Dist(rng.dirichlet(np.ones(length))) for _ in range(samples))
-    problem = _shannon_embedding_problem(dists)
+    # one checked Dist per sample, drawn in order, and its weights as a row
+    dists = [Dist(rng.dirichlet(np.ones(length))).weights for _ in range(samples)]
+    weights = np.array(dists).reshape(samples, length)
+    weights.setflags(write=False)
+    problem = _shannon_embedding_problem(DistRows(RAND_UNIFORM, (weights,)))
     return verify_reduction(problem, list(problem.candidates))
 
 
@@ -327,7 +376,7 @@ def _verify_monotonicity(cfg: dict, rng: np.random.Generator) -> dict:
             make_monotone("shannon", COVARIANT),
             make_functor("identity", RAND_UNIFORM),
             registry.oracle(RAND_UNIFORM),
-            tuple(ResourceRef(RAND_UNIFORM, p) for p in simplex_grid(length, step)),
+            DistRows(RAND_UNIFORM, (simplex_grid(length, step),)),
         )
         pairs = []
         for _ in range(samples):
@@ -339,7 +388,7 @@ def _verify_monotonicity(cfg: dict, rng: np.random.Generator) -> dict:
     elif theory_id == "qrand_quniform":
         dim = _length(cfg, "length", 2)
         grid = simplex_grid(dim, _grid_step(cfg.get("step", 0.05)))
-        problem = _shannon_embedding_problem(tuple(grid))
+        problem = _shannon_embedding_problem(DistRows(RAND_UNIFORM, (grid,)))
         pairs = []
         for _ in range(samples):
             rho = random_density(rng, dim)
@@ -379,12 +428,11 @@ def _verify_hlp(cfg: dict, rng: np.random.Generator) -> dict:
             f"hlp_agreement over {len(grid)} grid points checks {len(grid) ** 2} "
             f"pairs, over the cap of {HLP_PAIRS_CAP}"
         )
-    weights = np.array([p.weights for p in grid])
-    rows, cols = weights[:, None], weights[None, :]
+    rows, cols = grid[:, None], grid[None, :]
     lorenz = majorization_mask(rows, cols)
     disagree = np.argwhere(lorenz != uniform_map_mask(rows, cols))
     disagreements = [
-        {"p": grid[i].to_json(), "q": grid[j].to_json(), "lorenz": bool(lorenz[i, j])}
+        {"p": grid[i].tolist(), "q": grid[j].tolist(), "lorenz": bool(lorenz[i, j])}
         for i, j in disagree
     ]
     return {
@@ -400,26 +448,23 @@ def _verify_data_processing(cfg: dict, rng: np.random.Generator) -> dict:
     out_length = _length(cfg, "out_length", 3)
     # every sample is drawn first, in the order one sample at a time took
     weights = [np.empty((samples, size)) for size in (length, length, out_length, out_length)]
-    draws = []
     for i in range(samples):
         p = Dist(rng.dirichlet(np.ones(length)))
         q = Dist(rng.dirichlet(np.ones(length)))
         m = random_stochastic(rng, length, out_length)
-        draws.append((p, q, Dist(p.weights @ m.entries), Dist(q.weights @ m.entries)))
-        for side, dist in zip(weights, draws[-1]):
+        draws = (p, q, Dist(p.weights @ m.entries), Dist(q.weights @ m.entries))
+        for side, dist in zip(weights, draws):
             side[i] = dist.weights
     found = joint_map_mask(*weights)
+    before, after = kl_rows(*weights[:2]).tolist(), kl_rows(*weights[2:]).tolist()
     violations = []
-    for i, (p, q, p2, q2) in enumerate(draws):
+    for i in range(samples):
         if not found[i]:
             violations.append({"instance": i, "reason": "joint map not found"})
-            continue
-        before = kl_divergence(p, q)
-        after = kl_divergence(p2, q2)
-        if not ext_leq(after, before, VALUE_SLACK):
+        elif not ext_leq(after[i], before[i], VALUE_SLACK):
             violations.append(
                 {"instance": i, "reason": "divergence increased",
-                 "before": ext_to_json(before), "after": ext_to_json(after)}
+                 "before": ext_to_json(before[i]), "after": ext_to_json(after[i])}
             )
     return {"passed": not violations, "checked": samples, "violations": violations}
 
@@ -437,12 +482,11 @@ def _verify_coincidence(cfg: dict, rng: np.random.Generator) -> dict:
     for i in range(samples):
         dim = dims[i % len(dims)]
         rho = random_density(rng, dim)
-        spectrum = rho.spectrum.eigenvalues
         problem = ExtensionProblem(
             make_monotone("shannon", COVARIANT),
             make_functor("classical_to_quantum"),
             registry.oracle("qrand_quniform"),
-            (ResourceRef(RAND_UNIFORM, spectrum),),
+            _spectral_rows(RAND_UNIFORM, rho),
             candidates_complete=True,
         )
         y = ResourceRef("qrand_quniform", rho)

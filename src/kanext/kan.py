@@ -42,6 +42,7 @@ every q is uniform and the lengths agree.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -52,7 +53,7 @@ from .pcat import (
     COVARIANT,
     IDENTITY_TOL,
     VALUE_SLACK,
-    Decision,
+    DistRows,
     MonotoneSpec,
     ReachabilityOracle,
     ResourceRef,
@@ -65,10 +66,11 @@ from .pcat import (
 class FunctorMap:
     """Object map of a functor between theories; free arrows map to free arrows.
 
-    ``map_key``, where given, maps the candidate tuple to the p and q of
+    ``map_key``, where given, maps the candidate family to the p and q of
     its images' target-oracle keys (``pcat.Dichotomy``) as (N, n) arrays,
     or q as one length-n row that every image shares, without building the
-    images; or to None unless those keys have one length.  Where the
+    images (views of a ``pcat.DistRows`` family's own matrices where it
+    can); or to None unless those keys have one length.  Where the
     target's key names an ``identity``, the image keys are written in its
     fixed basis.
     """
@@ -77,13 +79,15 @@ class FunctorMap:
     source_theory: str
     target_theory: str
     map_object: Callable[[ResourceRef], ResourceRef]
-    map_key: Callable[[tuple], tuple[np.ndarray, np.ndarray] | None] | None = None
+    map_key: Callable[[Sequence[ResourceRef]], tuple[np.ndarray, np.ndarray] | None] | None = None
 
 
 @dataclass(frozen=True)
 class ExtensionProblem:
     """A monotone, a functor into the target theory, the target's oracle,
-    and the finite candidate family the sweep ranges over.
+    and the finite candidate family the sweep ranges over: a tuple of
+    objects, or a ``pcat.DistRows`` that builds an object only when one is
+    indexed.
 
     ``candidates_complete`` is the caller's claim that the candidates cover
     every admissible source object, making sweep results exact rather than
@@ -93,11 +97,12 @@ class ExtensionProblem:
     monotone: MonotoneSpec
     functor: FunctorMap
     target_oracle: ReachabilityOracle
-    candidates: tuple[ResourceRef, ...]
+    candidates: Sequence[ResourceRef]
     candidates_complete: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "candidates", tuple(self.candidates))
+        if not isinstance(self.candidates, DistRows):
+            object.__setattr__(self, "candidates", tuple(self.candidates))
 
 
 @dataclass(frozen=True)
@@ -137,36 +142,68 @@ def _keys(prob: ExtensionProblem, y: ResourceRef):
     return target, p, q
 
 
-def _decisions(prob: ExtensionProblem, y: ResourceRef):
-    """(X, (y -> K(X), K(X) -> y)) in candidate order.  The keyed sweep
-    skips candidates admissible on neither side when its negatives are
-    exact, since they change no bound or flag; the fallback decides every
-    pair."""
-    keys = _keys(prob, y)
-    if keys is None:
-        decide = prob.target_oracle.decide
-        for x in prob.candidates:
-            image = prob.functor.map_object(x)
-            yield x, (decide(y, image), decide(image, y))
-        return
+# (value, witness, exact) of one side of an extension
+_Side = tuple[ExtValue, Any, bool]
+
+
+def _keyed(prob: ExtensionProblem, keys, takes_inf) -> list[_Side]:
+    """(value, witness, exact) per side from two masks: y -> K(X) admits a
+    candidate on the minimal side, K(X) -> y on the maximal one.  An image
+    whose key agrees with y's within IDENTITY_TOL is admitted on both with
+    y's ``identity`` witness.  The monotone is evaluated once, on the
+    candidates some side admits; each side takes the first admissible
+    candidate that attains its bound, and is exact unless the oracle is
+    inexact and the side rejects some candidate."""
     target, p, q = keys
-    forward = relative_majorization_mask(target.p, target.q, p, q)
-    backward = relative_majorization_mask(p, q, target.p, target.q)
-    same = [False] * len(p)
+    admits = [
+        relative_majorization_mask(target.p, target.q, p, q),
+        relative_majorization_mask(p, q, target.p, target.q),
+    ]
+    same = np.zeros(len(p), bool)
     if target.identity is not None and p.shape[-1] == len(target.p):
         same = np.all(np.abs(p - target.p) <= IDENTITY_TOL, axis=-1) & np.all(
             np.abs(q - target.q) <= IDENTITY_TOL, axis=-1
         )
-        same = same.tolist()
-    # indexed by the verdict: positives are exact and carry no witness,
-    # negatives are as exact as the oracle
-    verdicts = (Decision(False, exact=prob.target_oracle.exact), Decision(True))
-    identity = Decision(True, target.identity)
-    for x, f, b, s in zip(prob.candidates, forward.tolist(), backward.tolist(), same):
-        if s:
-            yield x, (identity, identity)
-        elif f or b or not verdicts[0].exact:
-            yield x, (verdicts[f], verdicts[b])
+        admits = [mask | same for mask in admits]
+    index = np.flatnonzero(admits[0] | admits[1])
+    values = prob.monotone.values(prob.candidates, index)
+    sides = []
+    for mask, inf in zip(admits, takes_inf):
+        exact = prob.target_oracle.exact or bool(mask.all())
+        side = np.flatnonzero(mask[index])
+        if not side.size:
+            sides.append((INF if inf else 0.0, None, exact))
+            continue
+        # argmin and argmax return the first position that attains the bound
+        at = side[(np.argmin if inf else np.argmax)(values[side])]
+        i = int(index[at])
+        witness = (prob.candidates[i], target.identity if same[i] else None)
+        sides.append((float(values[at]), witness, exact))
+    return sides
+
+
+def _per_pair(prob: ExtensionProblem, y: ResourceRef, takes_inf) -> list[_Side]:
+    """(value, witness, exact) per side with each candidate mapped once and
+    each pair handed to the oracle: the monotone is evaluated at most once
+    per candidate, where some side admits it, and each side keeps the
+    first candidate that attains its bound."""
+    decide = prob.target_oracle.decide
+    best = [(INF if inf else 0.0, None) for inf in takes_inf]
+    exact = [True, True]
+    for x in prob.candidates:
+        image = prob.functor.map_object(x)
+        value = None
+        for side, d in enumerate((decide(y, image), decide(image, y))):
+            if not d.exact:
+                exact[side] = False
+            if not d.reachable:
+                continue
+            if value is None:
+                value = prob.monotone.evaluate(x)
+            bound, witness = best[side]
+            if witness is None or (value < bound if takes_inf[side] else value > bound):
+                best[side] = (value, (x, d.witness))
+    return [(v, w, ok) for (v, w), ok in zip(best, exact)]
 
 
 def extension(
@@ -177,8 +214,8 @@ def extension(
     The sweep decides y -> K(X) for the minimal side and K(X) -> y for the
     maximal side and computes a monotone value at most once per candidate,
     only where one side admits it.  Each side's witness is the first
-    candidate that attains its bound, and its exact flag covers its own
-    decisions only.
+    candidate that attains its bound, even where that is the empty bound,
+    and its exact flag covers its own decisions only.
 
     When the target oracle has a ``key`` for y and the functor a
     ``map_key`` for the candidates, the image keys have one length, and y's
@@ -186,32 +223,22 @@ def extension(
     handed to the oracle: all decisions come from two relative-majorization
     masks of y's dichotomy key against the (N, n) image keys, one per
     direction (Blackwell's test; Renes, arXiv:1510.03695; Gour et al.,
-    arXiv:1309.6586).  Where y's key names an ``identity`` witness, an
-    image whose key agrees with y's within IDENTITY_TOL is y itself and
-    takes that witness both ways.  Positives are exact; negatives are as
-    exact as the oracle.  Otherwise, as for mixed lengths, targets without
-    a key and theories without keys, each candidate is mapped once and the
-    oracle decides each pair.
+    arXiv:1309.6586), and the monotone is evaluated on the admissible
+    candidates at once (``MonotoneSpec.values``).  Where y's key names an
+    ``identity`` witness, an image whose key agrees with y's within
+    IDENTITY_TOL is y itself and takes that witness both ways.  Positives
+    are exact; negatives are as exact as the oracle.  Otherwise, as for
+    mixed lengths, targets without a key and theories without keys, each
+    candidate is mapped once and the oracle decides each pair.
     """
     covariant = prob.monotone.variance == COVARIANT
     takes_inf = (covariant, not covariant)
-    # (value, witness) per side, starting from the empty inf or sup
-    best = [(INF if inf else 0.0, None) for inf in takes_inf]
-    exact = [prob.candidates_complete] * 2
-    for x, decisions in _decisions(prob, y):
-        value = None
-        for side, d in enumerate(decisions):
-            if not d.exact:
-                exact[side] = False
-            if not d.reachable:
-                continue
-            if value is None:
-                value = prob.monotone.evaluate(x)
-            bound, witness = best[side]
-            if witness is None or (value < bound if takes_inf[side] else value > bound):
-                best[side] = (value, (x, d.witness))
+    keys = _keys(prob, y)
+    sides = _per_pair(prob, y, takes_inf) if keys is None else _keyed(prob, keys, takes_inf)
     n = len(prob.candidates)
-    lo, hi = (ExtensionResult(v, w, n, ok) for (v, w), ok in zip(best, exact))
+    lo, hi = (
+        ExtensionResult(v, w, n, ok and prob.candidates_complete) for v, w, ok in sides
+    )
     return lo, hi
 
 

@@ -8,12 +8,13 @@ contravariant (values shrink).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .prob import INF, ExtValue
+from .prob import INF, Dist, ExtValue
 
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
@@ -113,17 +114,51 @@ class ReachabilityOracle:
     key: Callable[[ResourceRef], Dichotomy | None] | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class DistRows(Sequence):
+    """Distribution-valued objects of one theory held as weight matrices:
+    one (N, n) matrix for distributions, or a p and a q matrix for pairs,
+    each made by ``prob.dist_rows`` (or a row of a checked ``Dist``).
+    Object i is built only when indexed, as a ``ResourceRef`` over
+    ``Dist.of_row`` views of row i, so it keeps every bit of its weights.
+    """
+
+    theory_id: str
+    weights: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return len(self.weights[0])
+
+    def __getitem__(self, i: int) -> ResourceRef:
+        dists = tuple(Dist.of_row(w[i]) for w in self.weights)
+        return ResourceRef(self.theory_id, dists if len(dists) > 1 else dists[0])
+
+
 @dataclass(frozen=True)
 class MonotoneSpec:
-    """A named value assignment with its variance along free arrows."""
+    """A named value assignment with its variance along free arrows.
+
+    ``rows``, where given, evaluates the monotone on rows of weight
+    matrices, one per component of a ``DistRows`` object, and agrees with
+    ``evaluate`` on each row.
+    """
 
     name: str
     evaluate: Callable[[ResourceRef], ExtValue]
     variance: str
+    rows: Callable[..., np.ndarray] | None = None
 
     def __post_init__(self):
         if self.variance not in (COVARIANT, CONTRAVARIANT):
             raise ValueError(f"unknown variance {self.variance!r}")
+
+    def values(self, objects: Sequence[ResourceRef], index: np.ndarray) -> np.ndarray:
+        """The values at ``objects[i]`` for each i in ``index``, as a float
+        array: one ``rows`` call on those rows of a ``DistRows``, and
+        otherwise ``evaluate`` on each object."""
+        if self.rows is not None and isinstance(objects, DistRows):
+            return self.rows(*(w[index] for w in objects.weights))
+        return np.array([self.evaluate(objects[i]) for i in index.tolist()], dtype=float)
 
 
 def preorder_collapse(oracle: ReachabilityOracle, objects: list[ResourceRef]) -> np.ndarray:

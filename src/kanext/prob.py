@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, pairwise
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -58,6 +58,33 @@ def ext_to_json(value: ExtValue):
     return "inf" if value == INF else float(value)
 
 
+def dist_rows(weights) -> np.ndarray:
+    """The ``Dist`` invariant over the rows of a 2-D weight array: at least
+    one outcome, no weight below -STOCHASTIC_TOL, and a sum within
+    NORMALIZATION_TOL of 1 after negatives are clipped to 0.  Returns the
+    read-only matrix of rows divided by their sums; ``Dist`` is the one-row
+    case.  The first failing row raises the error that ``Dist`` raises for
+    it alone.  Each row is summed along its own axis, so its weights do not
+    depend on the rows validated with it.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.shape[1] < 1:
+        raise InvariantViolation("distribution needs at least one outcome")
+    negative = w < -STOCHASTIC_TOL
+    clipped = np.clip(w, 0.0, None)
+    total = clipped.sum(axis=1)
+    # written so that a NaN total fails too
+    normalized = np.abs(total - 1.0) < NORMALIZATION_TOL
+    if negative.any() or not normalized.all():
+        i = int((negative.any(axis=1) | ~normalized).argmax())
+        if negative[i].any():
+            raise InvariantViolation(f"negative weight in {w[i]}")
+        raise InvariantViolation(f"weights sum to {total[i]}, expected 1")
+    clipped /= total[:, None]
+    clipped.setflags(write=False)
+    return clipped
+
+
 @dataclass(frozen=True)
 class Dist:
     """A finite probability distribution."""
@@ -65,19 +92,17 @@ class Dist:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.size < 1:
-            raise InvariantViolation("distribution needs at least one outcome")
-        if np.any(w < -STOCHASTIC_TOL):
-            raise InvariantViolation(f"negative weight in {w}")
-        w = np.clip(w, 0.0, None)
-        total = w.sum()
-        # written so that a NaN total fails too
-        if not abs(total - 1.0) < NORMALIZATION_TOL:
-            raise InvariantViolation(f"weights sum to {total}, expected 1")
-        w = w / total
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        w = np.asarray(self.weights, dtype=float).reshape(1, -1)
+        object.__setattr__(self, "weights", dist_rows(w)[0])
+
+    @classmethod
+    def of_row(cls, row: np.ndarray) -> "Dist":
+        """The distribution over a row of a ``dist_rows`` matrix, which
+        already holds the invariant: nothing is checked or normalized
+        again, so its weights keep every bit."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "weights", row)
+        return dist
 
     def __len__(self) -> int:
         return self.weights.size
@@ -114,25 +139,38 @@ class StochMatrix:
         return [[float(x) for x in row] for row in self.entries]
 
 
+def entropy_rows(w: np.ndarray) -> np.ndarray:
+    """H = -sum w_i log2 w_i along the last axis, with 0 log 0 = 0, and
+    never below 0 (nor -0.0).  ``shannon_entropy`` is the one-row case;
+    each row is summed along its own axis, so its value does not depend on
+    the rows evaluated with it."""
+    h = -(w * np.log2(np.where(w > 0, w, 1.0))).sum(axis=-1)
+    return np.where(h > 0.0, h, 0.0)
+
+
 def shannon_entropy(p: Dist) -> ExtValue:
     """H(p) = -sum p_i log2 p_i, with 0 log 0 = 0.  Lies in [0, log2 n]."""
-    w = p.weights[p.weights > 0]
-    return float(max(0.0, -(w * np.log2(w)).sum()))
+    return float(entropy_rows(p.weights))
+
+
+def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Relative entropy sum p_i log2(p_i / q_i) along the last axis of two
+    weight arrays of one shape: infinite where some p_i > 0 has q_i = 0,
+    and 0.0 where the sum's rounding falls below 0 by less than
+    STOCHASTIC_TOL.  ``kl_divergence`` is the one-row case."""
+    support = p > 0
+    live = support & (q > 0)
+    terms = p * np.log2(np.where(live, p, 1.0) / np.where(live, q, 1.0))
+    total = terms.sum(axis=-1)
+    total = np.where((-STOCHASTIC_TOL < total) & (total < 0), 0.0, total)
+    return np.where((support & ~live).any(axis=-1), INF, total)
 
 
 def kl_divergence(p: Dist, q: Dist) -> ExtValue:
     """Relative entropy sum p_i log2(p_i / q_i); infinite off q's support."""
     if len(p) != len(q):
         raise DimensionMismatch(f"lengths {len(p)} and {len(q)} differ")
-    mask = p.weights > 0
-    if np.any(q.weights[mask] == 0):
-        return INF
-    pw = p.weights[mask]
-    qw = q.weights[mask]
-    total = float((pw * np.log2(pw / qw)).sum())
-    if -STOCHASTIC_TOL < total < 0:
-        total = 0.0
-    return total
+    return float(kl_rows(p.weights, q.weights))
 
 
 def _lorenz_ordinates(weights: np.ndarray) -> np.ndarray:
@@ -255,8 +293,9 @@ def relatively_majorizes(source: tuple[Dist, Dist], target: tuple[Dist, Dist]) -
     return bool(relative_majorization_mask(p.weights, q.weights, p2.weights, q2.weights))
 
 
-def simplex_grid(length: int, step: float) -> list[Dist]:
-    """All distributions of the given length with weights on a step grid.
+def simplex_grid(length: int, step: float) -> np.ndarray:
+    """All distributions of the given length with weights on a step grid,
+    as the rows of one read-only ``dist_rows`` matrix.
 
     Points come in lexicographic order of their weights.  The point count,
     C(1/step + length - 1, length - 1), is checked against GRID_POINTS_CAP
@@ -274,10 +313,10 @@ def simplex_grid(length: int, step: float) -> list[Dist]:
             f"over the cap of {GRID_POINTS_CAP}"
         )
     # cumulative unit counts run non-decreasing from 0 to units
-    return [
-        Dist(np.array([b - a for a, b in pairwise((0, *cuts, units))]) * step)
-        for cuts in combinations_with_replacement(range(units + 1), length - 1)
-    ]
+    cuts = np.array(
+        list(combinations_with_replacement(range(units + 1), length - 1)), dtype=int
+    ).reshape(points, length - 1)
+    return dist_rows(np.diff(cuts, axis=1, prepend=0, append=units) * step)
 
 
 def random_stochastic(rng: np.random.Generator, n: int, k: int) -> StochMatrix:

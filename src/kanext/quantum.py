@@ -16,7 +16,15 @@ from itertools import chain
 
 import numpy as np
 
-from .prob import Dist, ExtValue, InvariantViolation, majorization_mask, shannon_entropy
+from .prob import (
+    Dist,
+    ExtValue,
+    InvariantViolation,
+    dist_rows,
+    entropy_rows,
+    majorization_mask,
+    shannon_entropy,
+)
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -135,10 +143,19 @@ def spectral_entropy(rho: DensityMatrix) -> ExtValue:
     return shannon_entropy(rho.spectrum.eigenvalues)
 
 
+def outcome_rows(rho: DensityMatrix, bases: np.ndarray) -> np.ndarray:
+    """Outcome distributions of rank-one projective measurements, one per
+    basis of a (B, d, d) stack of basis columns, as the rows of a
+    ``dist_rows`` matrix.  Each row is contracted on its own, so it does not
+    depend on the bases measured with it."""
+    q = np.einsum("bij,ik,bkj->bj", bases.conj(), rho.entries, bases).real
+    return dist_rows(np.clip(q, 0.0, None))
+
+
 def basis_outcomes(rho: DensityMatrix, basis: np.ndarray) -> Dist:
-    """Outcome distribution of a rank-one projective measurement."""
-    q = np.einsum("ij,ik,kj->j", basis.conj(), rho.entries, basis).real
-    return Dist(np.clip(q, 0.0, None))
+    """Outcome distribution of a rank-one projective measurement: the
+    one-basis case of ``outcome_rows``."""
+    return Dist.of_row(outcome_rows(rho, basis[None])[0])
 
 
 def haar_basis(dim: int, seed: int, index: int) -> np.ndarray:
@@ -153,17 +170,17 @@ def haar_basis(dim: int, seed: int, index: int) -> np.ndarray:
 def measurement_entropy_search(rho: DensityMatrix, samples: int, seed: int) -> ExtValue:
     """Least outcome entropy over sampled rank-one projective measurements.
 
-    The spectral basis is always included, so the search never exceeds the
-    spectral entropy, and random bases cannot beat it either.
+    The spectral basis is always included, first in the stack of bases
+    measured at once, so the search never exceeds the spectral entropy,
+    and random bases cannot beat it either.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    best = shannon_entropy(basis_outcomes(rho, rho.spectrum.eigenvectors))
-    for k in range(samples):
-        h = shannon_entropy(basis_outcomes(rho, haar_basis(rho.dim, seed, k)))
-        if h < best:
-            best = h
-    return best
+    bases = np.stack([
+        rho.spectrum.eigenvectors,
+        *(haar_basis(rho.dim, seed, k) for k in range(samples)),
+    ])
+    return float(entropy_rows(outcome_rows(rho, bases)).min())
 
 
 def schmidt_coefficients(psi: BipartitePure) -> Dist:

@@ -28,6 +28,7 @@ from .pcat import (
     IDENTITY_TOL,
     Decision,
     Dichotomy,
+    DistRows,
     MonotoneSpec,
     ReachabilityOracle,
     ResourceRef,
@@ -35,7 +36,9 @@ from .pcat import (
 from .prob import (
     Dist,
     StochMatrix,
+    entropy_rows,
     kl_divergence,
+    kl_rows,
     relatively_majorizes,
     shannon_entropy,
 )
@@ -261,31 +264,35 @@ _ORDER_KEYS = {
 }
 
 
-def _stacked(ps: list[np.ndarray], qs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
-    """Key components of one length n as two (N, n) arrays, or None."""
-    n = ps[0].size
-    if any(w.size != n for w in ps) or any(w.size != n for w in qs):
-        return None
-    return np.array(ps), np.array(qs)
+def _dist_keys(objects) -> tuple[np.ndarray, np.ndarray] | None:
+    """The keys of distributions (p, u_n) or of distribution pairs (p, q),
+    with uniform maps and joint stochastic maps as the free maps: a
+    ``DistRows`` family's own matrices, with u_n as one row, or the
+    objects' weights stacked; None unless each component has one length."""
+    if isinstance(objects, DistRows):
+        weights = objects.weights
+    else:
+        payloads = [ref.payload for ref in objects]
+        columns = zip(*payloads) if isinstance(payloads[0], tuple) else [payloads]
+        weights = [[d.weights for d in column] for column in columns]
+        n = weights[0][0].size
+        if any(w.size != n for column in weights for w in column):
+            return None
+        weights = [np.array(column) for column in weights]
+    if len(weights) == 1:
+        return weights[0], _uniform(weights[0].shape[-1]).weights
+    return weights[0], weights[1]
 
 
 def classical_to_quantum_functor() -> FunctorMap:
     """Diagonal embedding.  The spectrum of diag(p) is p sorted, and
     majorization ignores order, so the key map reads (p, u_n) off p."""
-
-    def map_key(refs):
-        ps = [ref.payload.weights for ref in refs]
-        n = ps[0].size
-        if any(w.size != n for w in ps):
-            return None
-        return np.array(ps), _uniform(n).weights
-
     return FunctorMap(
         "classical_to_quantum",
         RAND_UNIFORM,
         QRAND_QUNIFORM,
         lambda ref: ResourceRef(QRAND_QUNIFORM, embed_classical_payload(ref.payload)),
-        map_key,
+        _dist_keys,
     )
 
 
@@ -293,11 +300,6 @@ def classical_to_quantum_pair_functor() -> FunctorMap:
     """Componentwise diagonal embedding.  The joint outcomes of
     (diag(p), diag(q)) are (p, q) in the standard basis, so the key map
     reads them off (p, q)."""
-
-    def map_key(refs):
-        return _stacked([ref.payload[0].weights for ref in refs],
-                        [ref.payload[1].weights for ref in refs])
-
     return FunctorMap(
         "classical_to_quantum_pairs",
         CDISTINGUISH,
@@ -305,8 +307,18 @@ def classical_to_quantum_pair_functor() -> FunctorMap:
         lambda ref: ResourceRef(
             DISTINGUISH_RESTRICTED, embed_classical_payload(ref.payload)
         ),
-        map_key,
+        _dist_keys,
     )
+
+
+def _spectrum_keys(objects) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (spectrum, u_d) keys of density matrices, stacked; None unless
+    the dimensions agree."""
+    keys = [_spectrum_key(ref.payload) for ref in objects]
+    n = keys[0].p.size
+    if any(k.p.size != n for k in keys):
+        return None
+    return np.array([k.p for k in keys]), keys[0].q
 
 
 def identity_functor(theory_id: str) -> FunctorMap:
@@ -314,14 +326,11 @@ def identity_functor(theory_id: str) -> FunctorMap:
     distinguish_restricted, whose identity shortcut compares whole
     matrices: a key in the joint eigenbasis of a rotated pair does not
     determine them, so those sweeps stay per pair."""
-    payload_key = None if theory_id == DISTINGUISH_RESTRICTED else _ORDER_KEYS.get(theory_id)
-    map_key = None
-    if payload_key is not None:
-
-        def map_key(refs):
-            keys = [payload_key(ref.payload) for ref in refs]
-            return _stacked([k.p for k in keys], [k.q for k in keys])
-
+    map_key = {
+        RAND_UNIFORM: _dist_keys,
+        CDISTINGUISH: _dist_keys,
+        QRAND_QUNIFORM: _spectrum_keys,
+    }.get(theory_id)
     return FunctorMap("identity", theory_id, theory_id, lambda ref: ref, map_key)
 
 
@@ -397,16 +406,18 @@ def default_registry() -> TheoryRegistry:
 
 def make_monotone(name: str, variance: str) -> MonotoneSpec:
     """Monotones the CLI can reference by id."""
-    evaluators: dict[str, Callable] = {
-        "shannon": lambda ref: shannon_entropy(ref.payload),
-        "kl": lambda ref: kl_divergence(*ref.payload),
-        "schmidt": lambda ref: float(schmidt_rank(ref.payload)),
-        "spectral_entropy": lambda ref: spectral_entropy(ref.payload),
+    # (evaluate, rows): rows evaluate DistRows weight matrices at once
+    evaluators: dict[str, tuple[Callable, Callable | None]] = {
+        "shannon": (lambda ref: shannon_entropy(ref.payload), entropy_rows),
+        "kl": (lambda ref: kl_divergence(*ref.payload), kl_rows),
+        "schmidt": (lambda ref: float(schmidt_rank(ref.payload)), None),
+        "spectral_entropy": (lambda ref: spectral_entropy(ref.payload), None),
     }
     if name not in evaluators:
         known = ", ".join(sorted(evaluators))
         raise KeyError(f"unknown monotone {name!r}; known: {known}")
-    return MonotoneSpec(name, evaluators[name], variance)
+    evaluate, rows = evaluators[name]
+    return MonotoneSpec(name, evaluate, variance, rows)
 
 
 def make_functor(name: str, theory_id: str | None = None) -> FunctorMap:

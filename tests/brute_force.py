@@ -195,7 +195,7 @@ class GridSpec:
 def grid_distributions(spec: GridSpec, length: int) -> list[Dist]:
     if length > spec.max_length:
         raise InvariantViolation(f"length {length} exceeds cap {spec.max_length}")
-    return simplex_grid(length, spec.step)
+    return [Dist.of_row(w) for w in simplex_grid(length, spec.step)]
 
 
 def bf_uniform_map_search(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kanext.prob import Dist, simplex_grid
 from kanext.quantum import BipartitePure
 
 
@@ -36,6 +37,11 @@ def low_rank_pure(rng: np.random.Generator, dims: tuple[int, int], rank: int) ->
     b = rng.normal(size=(rank, db)) + 1j * rng.normal(size=(rank, db))
     v = (a @ b).reshape(-1)
     return BipartitePure(v / np.linalg.norm(v), dims)
+
+
+def grid_dists(length: int, step: float) -> list[Dist]:
+    """The rows of ``simplex_grid`` as distributions, in grid order."""
+    return [Dist.of_row(w) for w in simplex_grid(length, step)]
 
 
 def sparse_dist(rng, n: int) -> np.ndarray:

@@ -80,8 +80,8 @@ def test_criterion_1_hlp_equivalence():
     disagreements = 0
     checked = 0
     for n in (2, 3):
-        grid = simplex_grid(n, 0.05)
-        weights = np.array([p.weights for p in grid])
+        weights = simplex_grid(n, 0.05)
+        grid = [Dist.of_row(w) for w in weights]
         lp_says = uniform_map_mask(weights[:, None], weights[None, :])
         for i, p in enumerate(grid):
             for j, q in enumerate(grid):

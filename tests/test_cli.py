@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import grid_dists
 from kanext import cli, lp, prob, theories
 from kanext.kan import ExtensionProblem, FunctorMap
 from kanext.lp import exists_joint_stochastic_map, exists_uniform_map
@@ -398,7 +399,7 @@ class TestVerify:
         monkeypatch.setattr(cli, "uniform_map_mask", flipped)
         code, out = run_main(tmp_path, {"command": "verify", "property": "hlp_agreement",
                                         "length": 2, "step": 0.25})
-        grid = prob.simplex_grid(2, 0.25)
+        grid = grid_dists(2, 0.25)
         pairs = [(p, q) for p in grid for q in grid]
         assert code == 1
         assert out == printed({
@@ -923,6 +924,177 @@ class TestConfigFuzz:
             assert_one_error_line(err.getvalue())
         else:
             jsonschema.validate(json.loads(out.getvalue()), SCHEMA)
+
+
+def counting_dists(monkeypatch) -> list:
+    """Record every ``Dist.__post_init__`` call (every validated Dist)."""
+    calls = []
+    original = prob.Dist.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(prob.Dist, "__post_init__", counting)
+    return calls
+
+
+def counting_evaluate(monkeypatch) -> list:
+    """Record every ``MonotoneSpec.evaluate`` call of the monotones that
+    ``cli`` builds."""
+    calls = []
+
+    def make_monotone(name, variance):
+        spec = theories.make_monotone(name, variance)
+
+        def evaluate(ref):
+            calls.append(ref)
+            return spec.evaluate(ref)
+
+        return dataclasses.replace(spec, evaluate=evaluate)
+
+    monkeypatch.setattr(cli, "make_monotone", make_monotone)
+    return calls
+
+
+GOOD_CANDIDATES = [[0.25, 0.25, 0.5], [0.1, 0.2, 0.7]]
+
+
+def explicit_extend(objects, theory="rand_uniform", monotone="shannon", target=(0.2, 0.3, 0.5)):
+    return {"command": "extend", "theory": theory, "functor": "identity",
+            "monotone": monotone, "variance": "covariant", "target": list(target),
+            "candidates": {"kind": "explicit", "objects": objects}}
+
+
+class TestCandidateMatrices:
+    """Explicit lists and grids reach the sweep as one checked weight
+    matrix, with the per-object errors and the per-pair fallback kept."""
+
+    @pytest.mark.parametrize(
+        "bad, line",
+        [
+            ([0.6, -0.1, 0.5], "negative weight in [ 0.6 -0.1  0.5]"),
+            ([0.5, 0.4, 0.2], "weights sum to 1.1, expected 1"),
+            ([True, 0.0, 0.0], "weights must be a list of JSON numbers, got [True, 0.0, 0.0]"),
+            (["0.5", 0.25, 0.25],
+             "weights must be a list of JSON numbers, got ['0.5', 0.25, 0.25]"),
+            ([[0.5], [0.25], [0.25]],
+             "weights must be a list of JSON numbers, got [[0.5], [0.25], [0.25]]"),
+            ([1 / 65] * 65, "length 65 is over the cap of 64"),
+            ([], "distribution needs at least one outcome"),
+        ],
+        ids=["negative", "bad_sum", "bool", "text", "nested", "over_cap", "empty"],
+    )
+    def test_first_bad_candidate_names_the_error(self, tmp_path, capsys, bad, line):
+        # a later bad candidate does not change the line
+        cfg = explicit_extend(GOOD_CANDIDATES + [bad, [0.5, 0.6, -0.1]])
+        assert run_main(tmp_path, cfg) == (2, "")
+        assert capsys.readouterr().err == f"error: bad dist object: {line}\n"
+
+    def test_first_bad_pair_names_the_error(self, tmp_path, capsys):
+        cfg = explicit_extend(
+            [[[0.5, 0.5], [0.1, 0.9]], [[0.5, 0.5], [0.1, 0.95]], [[0.5, 0.5]]],
+            theory="cdistinguish", monotone="kl", target=([0.2, 0.8], [0.5, 0.5]),
+        )
+        assert run_main(tmp_path, cfg) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: bad dist_pair object: weights sum to 1.05, expected 1\n"
+        )
+
+    def test_mixed_lengths_take_the_per_pair_fallback(self, tmp_path):
+        objects = [[0.5, 0.5], [0.1, 0.2, 0.7], [0.2, 0.3, 0.5], [0.05, 0.15, 0.3, 0.5]]
+        candidates, _ = cli.build_candidates(
+            explicit_extend(objects), RAND_UNIFORM, "dist", None
+        )
+        assert isinstance(candidates, tuple)
+        code, doc, _ = run_and_validate(tmp_path, explicit_extend(objects))
+        assert code == 0
+        assert doc["minimal"] == {"value": 1.0, "examined": 4, "exact": False,
+                                  "witness": "rand_uniform:[0.5, 0.5]"}
+        assert doc["maximal"] == {"value": 1.6477309221191607, "examined": 4, "exact": False,
+                                  "witness": "rand_uniform:[0.05, 0.15, 0.3, 0.5]"}
+
+    def test_rows_keep_the_weights_of_one_object_at_a_time(self):
+        objects = np.random.default_rng(3).dirichlet(np.ones(4), size=40).tolist()
+        candidates, _ = cli.build_candidates(
+            explicit_extend(objects), RAND_UNIFORM, "dist", None
+        )
+        (weights,) = candidates.weights
+        assert all(
+            weights[i].tobytes() == Dist(obj).weights.tobytes() for i, obj in enumerate(objects)
+        )
+        pairs = [[objects[i], objects[i + 1]] for i in range(0, 40, 2)]
+        candidates, _ = cli.build_candidates(
+            explicit_extend(pairs), "cdistinguish", "dist_pair", None
+        )
+        for i, (p, q) in enumerate(pairs):
+            x = candidates[i].payload
+            assert x[0].weights.tobytes() == Dist(p).weights.tobytes()
+            assert x[1].weights.tobytes() == Dist(q).weights.tobytes()
+
+    def test_zero_entropy_prints_positive_zero(self, tmp_path):
+        cfg = explicit_extend([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], target=[0.0, 1.0, 0.0])
+        code, doc, out = run_and_validate(tmp_path, cfg)
+        assert code == 0
+        assert doc["minimal"]["value"] == doc["maximal"]["value"] == 0.0
+        assert '"value": 0.0,' in out and "-0.0" not in out
+
+    def test_grid_extend_validates_no_candidate(self, monkeypatch):
+        dists = counting_dists(monkeypatch)
+        evaluated = counting_evaluate(monkeypatch)
+        code, doc = cli.run({
+            "command": "extend", "theory": "qrand_quniform",
+            "functor": "classical_to_quantum", "monotone": "shannon",
+            "variance": "covariant", "target": density_json([0.4, 0.3, 0.2, 0.1]),
+            "candidates": {"kind": "grid", "length": 4, "step": 0.05},
+        })
+        assert code == 0 and doc["candidates"] == 1771
+        # the target's spectrum, u_4 and the two witnesses at most
+        assert len(dists) <= 4
+        assert evaluated == []
+
+    @pytest.mark.parametrize("theory", ["qrand_quniform", "rand_uniform"])
+    def test_explicit_extend_validates_no_candidate_object(self, monkeypatch, theory):
+        objects = np.random.default_rng(5).dirichlet(np.ones(4), size=160).tolist()
+        if theory == "qrand_quniform":
+            functor, target = "classical_to_quantum", density_json([0.4, 0.3, 0.2, 0.1])
+        else:
+            functor, target = "identity", [0.4, 0.3, 0.2, 0.1]
+        dists = counting_dists(monkeypatch)
+        evaluated = counting_evaluate(monkeypatch)
+        code, doc = cli.run({
+            "command": "extend", "theory": theory, "functor": functor, "monotone": "shannon",
+            "variance": "covariant", "target": target,
+            "candidates": {"kind": "explicit", "objects": objects},
+        })
+        assert code == 0 and doc["candidates"] == 160
+        assert len(dists) <= 4
+        assert evaluated == []
+
+    @pytest.mark.parametrize(
+        "theory, functor, target",
+        [
+            ("cdistinguish", "identity", [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]),
+            ("distinguish_restricted", "classical_to_quantum_pairs",
+             [density_json([0.5, 0.3, 0.2]), density_json([0.2, 0.3, 0.5])]),
+        ],
+    )
+    def test_kl_sweep_evaluates_no_object(self, monkeypatch, theory, functor, target):
+        rng = np.random.default_rng(6)
+        objects = [rng.dirichlet(np.ones(3), size=2).tolist() for _ in range(60)]
+        dists = counting_dists(monkeypatch)
+        evaluated = counting_evaluate(monkeypatch)
+        code, doc = cli.run({
+            "command": "extend", "theory": theory, "functor": functor, "monotone": "kl",
+            "variance": "covariant", "target": target,
+            "candidates": {"kind": "explicit", "objects": objects},
+        })
+        assert code == 0 and doc["candidates"] == 60
+        assert doc["maximal"]["examined"] == 60
+        # the target pair, or its joint-eigenbasis outcomes, and two
+        # witnesses of two distributions each
+        assert len(dists) <= 6
+        assert evaluated == []
 
 
 class TestDeterminism:

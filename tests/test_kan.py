@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from brute_force import bf_beaten_extensions, bf_maximal_extension, bf_minimal_extension
-from conftest import bell_state, product_state, sparse_dist
+from conftest import bell_state, grid_dists, product_state, sparse_dist
 from kanext import kan, quantum, theories
 from kanext.bf_oracle import random_toy_problem
 from kanext.kan import (
@@ -20,6 +20,7 @@ from kanext.pcat import (
     CONTRAVARIANT,
     COVARIANT,
     Decision,
+    DistRows,
     MonotoneSpec,
     OracleSoundnessError,
     ReachabilityOracle,
@@ -28,6 +29,7 @@ from kanext.pcat import (
 from kanext.prob import (
     INF,
     Dist,
+    dist_rows,
     random_uniform_matrix,
     relative_majorization_mask,
     shannon_entropy,
@@ -83,6 +85,35 @@ def embedding_problem(candidates, complete=False, variance=COVARIANT):
         REGISTRY.oracle(QRAND_QUNIFORM),
         classical_refs(candidates),
         candidates_complete=complete,
+    )
+
+
+def grid_rows(length, step):
+    """The step grid as one weight-matrix family of rand_uniform objects."""
+    return DistRows(RAND_UNIFORM, (simplex_grid(length, step),))
+
+
+def pair_rows(pairs):
+    """Distribution pairs as one weight-matrix family of cdistinguish objects."""
+    return DistRows(CDISTINGUISH, tuple(
+        dist_rows([pair[i].weights for pair in pairs]) for i in (0, 1)
+    ))
+
+
+def witness_index(prob, result):
+    """The candidate position of a result's witness, or None.  A tuple
+    family holds the witness itself; a ``DistRows`` builds it anew, so it is
+    found as the first row with its weights."""
+    if result.witness is None:
+        return None
+    x = result.witness[0]
+    if not isinstance(prob.candidates, DistRows):
+        return next(i for i, c in enumerate(prob.candidates) if c is x)
+    parts = x.payload if isinstance(x.payload, tuple) else (x.payload,)
+    rows = zip(*prob.candidates.weights)
+    return next(
+        i for i, row in enumerate(rows)
+        if all(np.array_equal(r, d.weights) for r, d in zip(row, parts))
     )
 
 
@@ -203,7 +234,7 @@ class TestClassicalExtensions:
 
 class TestQuantumExtensions:
     def test_shannon_extension_on_grid_candidates(self):
-        prob = embedding_problem(simplex_grid(2, 0.05))
+        prob = embedding_problem(grid_dists(2, 0.05))
         y = ResourceRef(QRAND_QUNIFORM, embed_classical(Dist([0.5, 0.5])))
         lo, hi = extension(prob, y)
         assert lo.value == pytest.approx(1.0, abs=1e-12)
@@ -221,7 +252,7 @@ class TestQuantumExtensions:
         assert hi.value == pytest.approx(spectral_entropy(rho), abs=1e-9)
 
     def test_nonuniform_target_on_fine_grid(self):
-        prob = embedding_problem(simplex_grid(2, 0.01))
+        prob = embedding_problem(grid_dists(2, 0.01))
         y = ResourceRef(QRAND_QUNIFORM, embed_classical(Dist([0.9, 0.1])))
         hi = extension(prob, y)[1]
         assert hi.value == pytest.approx(shannon_entropy(Dist([0.9, 0.1])), abs=1e-9)
@@ -292,6 +323,30 @@ class TestSinglePass:
         assert mapped == Counter(range(4))
         assert valued == Counter(range(4))
 
+    def test_values_admissible_rows_once_without_a_row_evaluator(self, rng):
+        valued = []
+
+        def evaluate(ref):
+            valued.append(ref.payload.weights.tobytes())
+            return shannon_entropy(ref.payload)
+
+        rows = dataclasses.replace(
+            embedding_problem(()),
+            monotone=make_monotone("shannon", COVARIANT),
+            candidates=grid_rows(3, 0.1),
+        )
+        own = dataclasses.replace(rows, monotone=MonotoneSpec("shannon", evaluate, COVARIANT))
+        assert rows.monotone.rows is not None and own.monotone.rows is None
+        y = ResourceRef(QRAND_QUNIFORM, random_density(rng, 3))
+        for a, b in zip(extension(own, y), extension(rows, y)):
+            assert (a.value, witness_index(own, a)) == (b.value, witness_index(rows, b))
+        # each candidate that some side admits, once, in candidate order
+        spectrum, u = y.payload.spectrum.eigenvalues.weights, np.full(3, 1 / 3)
+        grid = rows.candidates.weights[0]
+        admitted = relative_majorization_mask(spectrum, u, grid, u)
+        admitted |= relative_majorization_mask(grid, u, spectrum, u)
+        assert valued == [grid[i].tobytes() for i in np.flatnonzero(admitted)]
+
     def test_decomposes_each_density_matrix_once(self, monkeypatch, rng):
         calls = Counter()
 
@@ -303,7 +358,7 @@ class TestSinglePass:
         original = quantum.eig_hermitian
         for module in (quantum, theories):
             monkeypatch.setattr(module, "eig_hermitian", counting, raising=False)
-        candidates = simplex_grid(3, 0.25)
+        candidates = grid_dists(3, 0.25)
         y = ResourceRef(QRAND_QUNIFORM, random_density(rng, 3))
         prob, decided = counting_decide(embedding_problem(candidates))
         extension(prob, y)
@@ -358,21 +413,20 @@ class TestKeyedSweep:
             for y in targets:
                 for a, b in zip(extension(fast, y), extension(slow, y)):
                     assert (a.value, a.exact, a.examined) == (b.value, b.exact, b.examined)
-                    assert (a.witness is None) == (b.witness is None)
+                    assert witness_index(prob, a) == witness_index(prob, b)
                     if a.witness is not None:
-                        assert a.witness[0] is b.witness[0]
                         assert a.witness[1] == b.witness[1]
             assert len(slow_calls) == 2 * len(prob.candidates) * len(targets)
             assert len(fast_calls) == (0 if keyed else len(slow_calls))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_wishart_targets(self, rng, d):
-        prob = embedding_problem(simplex_grid(d, 0.1))
+        prob = embedding_problem(grid_dists(d, 0.1))
         targets = [ResourceRef(QRAND_QUNIFORM, random_density(rng, d)) for _ in range(6)]
         self.check(prob, targets)
 
     def test_embedded_grid_targets_tie_with_candidates(self, rng):
-        grid = simplex_grid(4, 0.25)
+        grid = grid_dists(4, 0.25)
         prob = embedding_problem(grid)
         points = [grid[i].weights for i in rng.choice(len(grid), 8, replace=False)]
         # each point and a permutation of it sit among the candidates
@@ -384,7 +438,7 @@ class TestKeyedSweep:
         self.check(prob, targets)
 
     def test_identity_on_rand_uniform(self, rng):
-        grid = simplex_grid(3, 0.1)
+        grid = grid_dists(3, 0.1)
         prob = shannon_problem(COVARIANT, grid)
         targets = [ResourceRef(RAND_UNIFORM, p) for p in grid[::7]]
         targets += [ResourceRef(RAND_UNIFORM, Dist(rng.dirichlet(np.ones(3)))) for _ in range(5)]
@@ -392,7 +446,7 @@ class TestKeyedSweep:
 
     def test_identity_on_qrand_quniform(self, rng):
         states = [random_density(rng, 3) for _ in range(20)]
-        states += [embed_classical(p) for p in simplex_grid(3, 0.25)]
+        states += [embed_classical(p) for p in grid_dists(3, 0.25)]
         prob = ExtensionProblem(
             make_monotone("spectral_entropy", COVARIANT),
             identity_functor(QRAND_QUNIFORM),
@@ -404,15 +458,15 @@ class TestKeyedSweep:
 
     def test_unequal_lengths_fall_back(self, rng):
         # one length-4 candidate among length-3 ones: no key matrix is built
-        candidates = simplex_grid(3, 0.25) + [Dist([0.4, 0.3, 0.2, 0.1])]
+        candidates = grid_dists(3, 0.25) + [Dist([0.4, 0.3, 0.2, 0.1])]
         prob = embedding_problem(candidates)
         targets = [ResourceRef(QRAND_QUNIFORM, random_density(rng, 4)) for _ in range(3)]
         self.check(prob, targets, keyed=False)
 
     def test_grid_into_shorter_rand_uniform_targets(self, rng):
-        grid = simplex_grid(4, 0.2)
+        grid = grid_dists(4, 0.2)
         prob = shannon_problem(COVARIANT, grid, complete=True)
-        targets = [ResourceRef(RAND_UNIFORM, p) for p in simplex_grid(3, 0.25)]
+        targets = [ResourceRef(RAND_UNIFORM, p) for p in grid_dists(3, 0.25)]
         targets += [ResourceRef(RAND_UNIFORM, Dist(sparse_dist(rng, 3))) for _ in range(4)]
         # exact images of grid points under a uniform map from length 4 to 3
         m = np.vstack([np.eye(3), np.full(3, 1 / 3)])
@@ -465,7 +519,7 @@ class TestKeyedSweep:
     def test_unital_channels_across_dimensions_fall_back(self, rng):
         # spectrum keys decide equal dimensions only: d = 4 targets against
         # length-3 candidates are decided pair by pair, and flagged inexact
-        prob = embedding_problem(simplex_grid(3, 0.25), complete=True)
+        prob = embedding_problem(grid_dists(3, 0.25), complete=True)
         targets = [ResourceRef(QRAND_QUNIFORM, random_density(rng, 4)) for _ in range(3)]
         targets += [ResourceRef(QRAND_QUNIFORM, embed_classical(Dist([0.5, 0.5, 0.0, 0.0])))]
         self.check(prob, targets, keyed=False)
@@ -488,11 +542,90 @@ class TestKeyedSweep:
             self.check(kl_problem(functor, theory_id, pairs + shorter), [target], keyed=False)
 
 
+    # problems whose candidates are one weight matrix (pcat.DistRows)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_array_grid_into_wishart_targets(self, rng, d):
+        rows = embedding_problem((), complete=False)
+        rows = dataclasses.replace(rows, candidates=grid_rows(d, 0.1))
+        objects = embedding_problem(grid_dists(d, 0.1))
+        targets = [ResourceRef(QRAND_QUNIFORM, random_density(rng, d)) for _ in range(6)]
+        self.check(rows, targets)
+        # the matrix and the object tuple give the same results
+        for y in targets:
+            for a, b in zip(extension(rows, y), extension(objects, y)):
+                assert (a.value, a.exact) == (b.value, b.exact)
+                assert witness_index(rows, a) == witness_index(objects, b)
+
+    def test_array_grid_into_rand_uniform_targets(self, rng):
+        prob = dataclasses.replace(shannon_problem(COVARIANT, (), complete=True),
+                                   candidates=grid_rows(4, 0.2))
+        targets = [ResourceRef(RAND_UNIFORM, p) for p in grid_dists(3, 0.25)]
+        targets += [ResourceRef(RAND_UNIFORM, Dist(sparse_dist(rng, n))) for n in (3, 4, 5)]
+        self.check(prob, targets)
+
+    def test_array_permuted_grid_ties_take_the_first_point(self, rng):
+        prob = dataclasses.replace(embedding_problem(()), candidates=grid_rows(4, 0.25))
+        grid = simplex_grid(4, 0.25)
+        points = [grid[i] for i in rng.choice(len(grid), 8, replace=False)]
+        targets = [
+            ResourceRef(QRAND_QUNIFORM, embed_classical(Dist(w)))
+            for p in points
+            for w in (p, rng.permutation(p))
+        ]
+        self.check(prob, targets)
+        # both bounds are H(p), met by the permutations of p alone, and grid
+        # order is lexicographic: the first of them is p sorted ascending
+        for y, p in zip(targets, np.repeat(points, 2, axis=0)):
+            for side in extension(prob, y):
+                assert side.witness[0].payload.weights.tolist() == sorted(p)
+
+    def test_array_pairs_under_identity_and_embedding(self, rng):
+        for n, k in [(4, 3), (3, 3), (2, 4)]:
+            y, pairs = pair_family(rng, 20, n, k)
+            for functor, theory_id, targets in [
+                (identity_functor(CDISTINGUISH), CDISTINGUISH,
+                 [ResourceRef(CDISTINGUISH, y)]),
+                (classical_to_quantum_pair_functor(), DISTINGUISH_RESTRICTED,
+                 [embedded_pair(y), embedded_pair(y, random_unitary(rng, k))]
+                 + ([embedded_pair(pairs[5])] if n == k else [])),
+            ]:
+                prob = kl_problem(functor, theory_id, [])
+                self.check(dataclasses.replace(prob, candidates=pair_rows(pairs)), targets)
+
+    def test_array_infinite_divergences_take_the_first_admissible(self):
+        # candidate 0 has a finite divergence and does not reach the
+        # perfectly distinguishable target; the others are perfectly
+        # distinguishable, so each reaches the target and has divergence inf
+        pairs = [(Dist([0.5, 0.5, 0.0]), Dist([0.25, 0.25, 0.5]))]
+        pairs += [(Dist(p), Dist(q)) for p, q in [
+            ([1.0, 0.0, 0.0], [0.0, 0.5, 0.5]),
+            ([0.0, 0.0, 1.0], [0.3, 0.7, 0.0]),
+            ([0.5, 0.5, 0.0], [0.0, 0.0, 1.0]),
+        ]]
+        y = ResourceRef(CDISTINGUISH, (Dist([1.0, 0.0]), Dist([0.0, 1.0])))
+        prob = kl_problem(identity_functor(CDISTINGUISH), CDISTINGUISH, [])
+        prob = dataclasses.replace(prob, candidates=pair_rows(pairs))
+        self.check(prob, [y])
+        # covariant: the sup over K(X) -> y is inf, first met at candidate 1
+        lo, hi = extension(prob, y)
+        assert (lo.value, witness_index(prob, lo)) == (1.0, 0)
+        assert (hi.value, witness_index(prob, hi)) == (INF, 1)
+        # contravariant: the inf over K(X) -> y is inf, the empty bound,
+        # and its witness is still the first admissible candidate
+        contra = dataclasses.replace(
+            prob, monotone=dataclasses.replace(prob.monotone, variance=CONTRAVARIANT)
+        )
+        lo, hi = extension(contra, y)
+        assert (lo.value, witness_index(prob, lo)) == (INF, 1)
+        assert (hi.value, witness_index(prob, hi)) == (INF, 1)
+
+
 class TestGridRefinement:
     def test_nested_grids_move_extensions_monotonically(self):
         y = ResourceRef(QRAND_QUNIFORM, embed_classical(Dist([0.8, 0.2])))
-        coarse = embedding_problem(simplex_grid(2, 0.25))
-        fine = embedding_problem(simplex_grid(2, 0.05))
+        coarse = embedding_problem(grid_dists(2, 0.25))
+        fine = embedding_problem(grid_dists(2, 0.05))
         fine_lo, fine_hi = extension(fine, y)
         coarse_lo, coarse_hi = extension(coarse, y)
         assert fine_lo.value <= coarse_lo.value
@@ -500,8 +633,8 @@ class TestGridRefinement:
 
     def test_contravariant_duals(self):
         y = ResourceRef(RAND_UNIFORM, Dist([0.8, 0.2]))
-        coarse = shannon_problem(CONTRAVARIANT, simplex_grid(2, 0.25))
-        fine = shannon_problem(CONTRAVARIANT, simplex_grid(2, 0.05))
+        coarse = shannon_problem(CONTRAVARIANT, grid_dists(2, 0.25))
+        fine = shannon_problem(CONTRAVARIANT, grid_dists(2, 0.05))
         fine_lo, fine_hi = extension(fine, y)
         coarse_lo, coarse_hi = extension(coarse, y)
         assert fine_lo.value >= coarse_lo.value
@@ -544,13 +677,13 @@ class TestVerifyReduction:
 
 class TestVerifyMonotonicity:
     def test_trivial_pair(self):
-        prob = shannon_problem(COVARIANT, simplex_grid(2, 0.1))
+        prob = shannon_problem(COVARIANT, grid_dists(2, 0.1))
         y = ResourceRef(RAND_UNIFORM, Dist([0.6, 0.4]))
         report = verify_monotonicity(prob, [(y, y)])
         assert report["passed"]
 
     def test_classical_free_pairs(self, rng):
-        prob = shannon_problem(COVARIANT, simplex_grid(3, 0.1))
+        prob = shannon_problem(COVARIANT, grid_dists(3, 0.1))
         pairs = []
         for _ in range(20):
             p = Dist(rng.dirichlet(np.ones(3)))
@@ -560,7 +693,7 @@ class TestVerifyMonotonicity:
         assert report["passed"]
 
     def test_quantum_unital_pairs(self, rng):
-        prob = embedding_problem(simplex_grid(2, 0.1))
+        prob = embedding_problem(grid_dists(2, 0.1))
         pairs = []
         for _ in range(10):
             rho = random_density(rng, 2)
@@ -581,7 +714,7 @@ class TestVerifyMonotonicity:
         assert report["passed"]
 
     def test_contravariant_pairs_non_increasing(self, rng):
-        prob = shannon_problem(CONTRAVARIANT, simplex_grid(3, 0.1))
+        prob = shannon_problem(CONTRAVARIANT, grid_dists(3, 0.1))
         pairs = []
         for _ in range(15):
             p = Dist(rng.dirichlet(np.ones(3)))
@@ -591,7 +724,7 @@ class TestVerifyMonotonicity:
         assert report["passed"]
 
     def test_rejects_non_free_pair(self):
-        prob = shannon_problem(COVARIANT, simplex_grid(2, 0.1))
+        prob = shannon_problem(COVARIANT, grid_dists(2, 0.1))
         y = ResourceRef(RAND_UNIFORM, Dist([0.5, 0.5]))
         y2 = ResourceRef(RAND_UNIFORM, Dist([0.9, 0.1]))
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from brute_force import undeduplicated_deterministic_map
-from conftest import nudged, sparse_dist
+from conftest import grid_dists, nudged, sparse_dist
 from kanext import lp
 from kanext.lp import (
     FEAS_TOL,
@@ -141,7 +141,7 @@ class TestExistsUniformMap:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_agrees_with_majorization_on_sampled_grid(self, n, rng):
-        grid = simplex_grid(n, 0.05)
+        grid = grid_dists(n, 0.05)
         idx = rng.integers(0, len(grid), size=(150, 2))
         for i, j in idx:
             p, q = grid[i], grid[j]
@@ -149,7 +149,7 @@ class TestExistsUniformMap:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_agrees_with_majorization_larger_lengths(self, n, rng):
-        grid = simplex_grid(n, 0.05)
+        grid = grid_dists(n, 0.05)
         idx = rng.integers(0, len(grid), size=(150, 2))
         for i, j in idx:
             p, q = grid[i], grid[j]
@@ -248,8 +248,8 @@ class TestRelativelyMajorizesAgreesWithLp:
 
     def test_uniform_maps_on_grids_of_unequal_lengths(self):
         for n, k in [(2, 3), (3, 2), (4, 3)]:
-            for p in simplex_grid(n, 0.25):
-                for q in simplex_grid(k, 0.25):
+            for p in grid_dists(n, 0.25):
+                for q in grid_dists(k, 0.25):
                     assert (
                         rand_uniform_oracle(p, q).reachable
                         == exists_uniform_map(p, q).feasible
@@ -345,16 +345,16 @@ class TestBatchedSimplex:
     outcome alone against its outcome inside a batch."""
 
     def test_uniform_mask_matches_per_pair_on_grid(self):
-        grid = simplex_grid(3, 0.1)  # 66 points, 4,356 ordered pairs
-        w = np.array([p.weights for p in grid])
+        w = simplex_grid(3, 0.1)  # 66 points, 4,356 ordered pairs
+        grid = [Dist.of_row(row) for row in w]
         mask = uniform_map_mask(w[:, None], w[None, :])
         per_pair = [[exists_uniform_map(p, q).feasible for q in grid] for p in grid]
         assert np.array_equal(mask, per_pair)
         assert 0.1 < mask.mean() < 0.9
 
     def test_joint_mask_matches_per_pair_on_grid(self):
-        grid = simplex_grid(3, 0.1)
-        w = np.array([p.weights for p in grid])
+        w = simplex_grid(3, 0.1)
+        grid = [Dist.of_row(row) for row in w]
         r = Dist([0.5, 0.3, 0.2])
         mask = joint_map_mask(w[:, None], r.weights, w[None, :], r.weights)
         per_pair = [
@@ -407,8 +407,7 @@ class TestBatchedSimplex:
                     assert np.array_equal(res.witness, x[:a.shape[2]])
 
     def test_chunks_do_not_change_verdicts(self, monkeypatch):
-        grid = simplex_grid(3, 0.25)
-        w = np.array([p.weights for p in grid])
+        w = simplex_grid(3, 0.25)
         whole = uniform_map_mask(w[:, None], w[None, :])
         for entries in (1, 1000):  # one system per chunk; 7 with a short last chunk
             monkeypatch.setattr(lp, "LP_CHUNK_ENTRIES", entries)
@@ -446,7 +445,7 @@ class TestExistsDeterministicMap:
         assert np.all(res.witness.entries[:, 1] == 0.0)
 
     def test_agrees_with_brute_force(self, rng):
-        grids = {n: simplex_grid(n, 0.05) for n in range(1, 6)}
+        grids = {n: grid_dists(n, 0.05) for n in range(1, 6)}
         for _ in range(40):
             n, k = int(rng.integers(1, 6)), int(rng.integers(1, 4))
             candidates = grids[n]
@@ -495,7 +494,7 @@ class TestExistsDeterministicMap:
         for i in range(300):
             n, k = int(rng.integers(1, 7)), int(rng.integers(1, 5))
             if i % 3 == 0:  # repeated weights
-                p = grids[n][int(rng.integers(len(grids[n])))].weights
+                p = grids[n][int(rng.integers(len(grids[n])))]
             elif i % 3 == 1:
                 p = rng.dirichlet(np.ones(3))[rng.integers(0, 3, size=n)]
                 p = p / p.sum()
@@ -506,7 +505,7 @@ class TestExistsDeterministicMap:
             if i % 4 == 3:
                 q = nudged(rng, q)
             elif i % 4 == 2:
-                q = grids[k][int(rng.integers(len(grids[k])))].weights
+                q = grids[k][int(rng.integers(len(grids[k])))]
             p, q = Dist(p), Dist(q)
             res = exists_deterministic_map(p, q)
             want = undeduplicated_deterministic_map(p, q)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import nudged, sparse_dist
+from conftest import grid_dists, nudged, sparse_dist
 from kanext import prob
 from kanext.prob import (
     Dist,
@@ -14,8 +14,11 @@ from kanext.prob import (
     INF,
     InvariantViolation,
     StochMatrix,
+    dist_rows,
+    entropy_rows,
     ext_to_json,
     kl_divergence,
+    kl_rows,
     lorenz_csv,
     lorenz_curve,
     majorization_mask,
@@ -105,11 +108,98 @@ class TestShannonEntropy:
     def test_maximal_exactly_at_uniform_on_grid(self):
         for n in (2, 3, 4):
             h_uniform = shannon_entropy(Dist.uniform(n))
-            for p in simplex_grid(n, 0.1):
+            for p in grid_dists(n, 0.1):
                 h = shannon_entropy(p)
                 assert h <= h_uniform + 1e-12
                 if abs(h - h_uniform) <= 1e-12:
                     assert np.allclose(p.weights, 1.0 / n)
+
+
+def zeroed_rows(rng, rows: int, n: int) -> np.ndarray:
+    """``dist_rows`` of Dirichlet rows with about a third of the weights
+    zeroed, and a point mass among them."""
+    w = rng.dirichlet(np.ones(n), size=rows)
+    w[rng.random(w.shape) < 0.3] = 0.0
+    w[:, 0] += w.sum(axis=1) == 0
+    w[0] = np.eye(n)[n - 1]
+    return dist_rows(w / w.sum(axis=1, keepdims=True))
+
+
+class TestRowEvaluators:
+    """The row evaluators and the scalar monotones are one formula: each
+    row of a batch, and any subset of rows, gets the bits of the one-row
+    call."""
+
+    def test_entropy_rows_are_batch_independent(self, rng):
+        for n in range(1, 65):
+            w = zeroed_rows(rng, 12, n)
+            batch = entropy_rows(w)
+            subset = entropy_rows(w[1::3])
+            for i, row in enumerate(w):
+                one = shannon_entropy(Dist.of_row(row))
+                assert batch[i].tobytes() == np.float64(one).tobytes()
+            assert subset.tobytes() == batch[1::3].tobytes()
+
+    def test_kl_rows_are_batch_independent(self, rng):
+        for n in range(1, 65):
+            p = zeroed_rows(rng, 12, n)
+            q = np.concatenate([zeroed_rows(rng, 3, n), p[3:4], zeroed_rows(rng, 8, n)])
+            batch = kl_rows(p, q)
+            for i in range(len(p)):
+                one = kl_divergence(Dist.of_row(p[i]), Dist.of_row(q[i]))
+                assert batch[i].tobytes() == np.float64(one).tobytes()
+            assert batch[3] == 0.0
+            assert kl_rows(p[::2], q[::2]).tobytes() == batch[::2].tobytes()
+
+    def test_short_rows_match_the_compressed_sum(self, rng):
+        # below length 8 numpy adds the terms in order, so the zero terms
+        # leave the sum over the positive weights alone
+        for n in range(1, 8):
+            for row in zeroed_rows(rng, 20, n):
+                w = row[row > 0]
+                assert shannon_entropy(Dist.of_row(row)) == max(0.0, -(w * np.log2(w)).sum())
+
+    def test_zero_entropy_is_positive_zero(self):
+        values = entropy_rows(np.eye(3))
+        assert not np.signbit(values).any()
+        assert json.dumps(ext_to_json(shannon_entropy(Dist([0.0, 1.0])))) == "0.0"
+        assert json.dumps(ext_to_json(kl_divergence(Dist([0.3, 0.7]), Dist([0.3, 0.7])))) == "0.0"
+
+    def test_infinite_divergence_off_the_support(self):
+        p = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]])
+        q = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+        assert kl_rows(p, q).tolist() == [INF, 1.0, INF]
+
+
+class TestDistRows:
+    def test_rows_are_the_one_row_dists(self, rng):
+        w = rng.dirichlet(np.ones(5), size=30) * (1 + rng.uniform(-5e-10, 5e-10, size=(30, 1)))
+        w[w < 0.05] = 0.0
+        w /= w.sum(axis=1, keepdims=True)
+        rows = dist_rows(w)
+        assert not rows.flags.writeable
+        for row, raw in zip(rows, w):
+            assert row.tobytes() == Dist(raw).weights.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([0.6, -0.1, 0.5], "negative weight in [ 0.6 -0.1  0.5]"),
+            ([0.5, 0.4, 0.2], "weights sum to 1.1, expected 1"),
+            ([0.5, np.nan, 0.5], "weights sum to nan, expected 1"),
+        ],
+    )
+    def test_first_failing_row_raises_its_dist_error(self, bad, message):
+        rows = [[0.2, 0.3, 0.5], bad, [0.5, 0.6, -0.1]]
+        with pytest.raises(InvariantViolation) as batch:
+            dist_rows(rows)
+        with pytest.raises(InvariantViolation) as one:
+            Dist(bad)
+        assert str(batch.value) == str(one.value) == message
+
+    def test_needs_an_outcome(self):
+        with pytest.raises(InvariantViolation, match="at least one outcome"):
+            dist_rows(np.zeros((3, 0)))
 
 
 class TestKlDivergence:
@@ -375,6 +465,20 @@ class TestMatrixPredicates:
 
 
 class TestSimplexGrid:
+    def test_rows_are_the_points_built_one_at_a_time(self):
+        from itertools import combinations_with_replacement, pairwise
+
+        for length, step in [(1, 0.5), (2, 0.05), (4, 0.05), (5, 0.1)]:
+            units = round(1 / step)
+            grid = simplex_grid(length, step)
+            assert not grid.flags.writeable
+            points = [
+                Dist(np.array([b - a for a, b in pairwise((0, *cuts, units))]) * step)
+                for cuts in combinations_with_replacement(range(units + 1), length - 1)
+            ]
+            assert grid.shape == (len(points), length)
+            assert grid.tobytes() == np.array([p.weights for p in points]).tobytes()
+
     def test_counts(self):
         assert len(simplex_grid(2, 0.05)) == 21
         assert len(simplex_grid(3, 0.05)) == 231
@@ -394,11 +498,11 @@ class TestSimplexGrid:
 
         monkeypatch.setattr(prob, "GRID_POINTS_CAP", 21)
         assert len(simplex_grid(2, 0.05)) == 21
-        monkeypatch.setattr(prob, "Dist", no_points)
+        monkeypatch.setattr(prob, "combinations_with_replacement", no_points)
         with pytest.raises(prob.GridSizeError):
             simplex_grid(2, 1 / 21)
         monkeypatch.undo()
-        monkeypatch.setattr(prob, "Dist", no_points)
+        monkeypatch.setattr(prob, "combinations_with_replacement", no_points)
         with pytest.raises(prob.GridSizeError):
             simplex_grid(9, 0.01)  # about 4e11 points
 

@@ -12,8 +12,10 @@ from kanext.quantum import (
     eig_hermitian,
     embed_classical,
     haar_basis,
+    basis_outcomes,
     locc_convertible_pure,
     measurement_entropy_search,
+    outcome_rows,
     random_density,
     random_unitary,
     schmidt_coefficients,
@@ -301,6 +303,31 @@ class TestMeasurementEntropySearch:
     def test_requires_positive_samples(self):
         with pytest.raises(ValueError):
             measurement_entropy_search(diag_state(0.5, 0.5), 0, 1)
+
+    def test_stack_is_the_least_of_one_basis_at_a_time(self, rng):
+        # the bases one at a time, spectral first, in the C order of the stack
+        for dim in (1, 2, 3, 4, 6):
+            rho = random_density(rng, dim)
+            for samples, seed in ((1, 0), (7, 3), (30, 9)):
+                bases = [rho.spectrum.eigenvectors] + [
+                    haar_basis(dim, seed, k) for k in range(samples)
+                ]
+                each = [
+                    shannon_entropy(basis_outcomes(rho, np.ascontiguousarray(b))) for b in bases
+                ]
+                found = measurement_entropy_search(rho, samples, seed)
+                assert np.float64(found).tobytes() == np.float64(min(each)).tobytes()
+
+
+class TestOutcomeRows:
+    def test_rows_are_the_one_basis_outcomes(self, rng):
+        for dim in (2, 3, 5):
+            rho = random_density(rng, dim)
+            bases = np.stack([haar_basis(dim, 4, k) for k in range(12)])
+            rows = outcome_rows(rho, bases)
+            assert not rows.flags.writeable
+            for row, basis in zip(rows, bases):
+                assert row.tobytes() == basis_outcomes(rho, basis).weights.tobytes()
 
 
 class TestHaarBasis:

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import bell_state, product_state
+from conftest import bell_state, grid_dists, product_state
 from kanext import lp
 from kanext.kan import ExtensionProblem, extension
 from kanext.lp import SizeLimitError, exists_uniform_map
@@ -13,7 +13,6 @@ from kanext.prob import (
     StochMatrix,
     random_stochastic,
     random_uniform_matrix,
-    simplex_grid,
 )
 from kanext.quantum import (
     DensityMatrix,
@@ -113,7 +112,7 @@ class TestRandUniformOracle:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_agrees_with_lp_on_full_grid(self, n):
-        grid = simplex_grid(n, 0.1)
+        grid = grid_dists(n, 0.1)
         for p in grid:
             for q in grid:
                 assert (
@@ -240,7 +239,7 @@ class TestClosedFormSweeps:
                 monkeypatch.setattr(module, "solve_feasibility", counting)
         if theory == RAND_UNIFORM:
             y = Dist(rng.dirichlet(np.ones(3)))
-            candidates = simplex_grid(4, 0.25)
+            candidates = grid_dists(4, 0.25)
             functor, monotone = make_functor("identity", theory), "shannon"
         else:
             x0 = (Dist(rng.dirichlet(np.ones(4))), Dist(rng.dirichlet(np.ones(4))))
