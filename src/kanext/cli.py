@@ -176,7 +176,7 @@ def parse_payload(kind: str, data):
             )
             vec = complex_matrix_from_json([data["state"]])[0]
             return BipartitePure(vec, (da, db))
-    except (InvariantViolation, TypeError, ValueError, KeyError) as exc:
+    except (InvariantViolation, TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"bad {kind} object: {exc}") from exc
     raise ConfigError(f"unknown object kind {kind!r}")
 
@@ -343,14 +343,15 @@ def cmd_extend(cfg: dict) -> tuple[int, dict]:
     return EXIT_OK, doc
 
 
-def _shannon_embedding_problem(candidates: Sequence[ResourceRef]) -> ExtensionProblem:
-    registry = default_registry()
+def _shannon_embedding_problem(
+    candidates: Sequence[ResourceRef], complete: bool = False
+) -> ExtensionProblem:
     return ExtensionProblem(
         make_monotone("shannon", COVARIANT),
         make_functor("classical_to_quantum"),
-        registry.oracle("qrand_quniform"),
+        default_registry().oracle("qrand_quniform"),
         candidates,
-        candidates_complete=False,
+        candidates_complete=complete,
     )
 
 
@@ -478,17 +479,10 @@ def _verify_coincidence(cfg: dict, rng: np.random.Generator) -> dict:
     bases = _number(cfg.get("bases", 50), "bases", at_least=1, at_most=BASES_CAP)
     seed = _number(cfg.get("seed", 0), "seed")
     violations = []
-    registry = default_registry()
     for i in range(samples):
         dim = dims[i % len(dims)]
         rho = random_density(rng, dim)
-        problem = ExtensionProblem(
-            make_monotone("shannon", COVARIANT),
-            make_functor("classical_to_quantum"),
-            registry.oracle("qrand_quniform"),
-            _spectral_rows(RAND_UNIFORM, rho),
-            candidates_complete=True,
-        )
+        problem = _shannon_embedding_problem(_spectral_rows(RAND_UNIFORM, rho), complete=True)
         y = ResourceRef("qrand_quniform", rho)
         reference = spectral_entropy(rho)
         lo, hi = (side.value for side in extension(problem, y))

@@ -35,9 +35,9 @@ states of one dimension carry rho to sigma iff the spectrum of rho
 majorizes that of sigma (Uhlmann 1971), and the spectrum of diag(p) is p
 sorted.  An oracle's ``key`` names the dichotomy (p, q) of an object and a
 functor's ``map_key`` those of the candidates' images, and the sweep then
-decides every candidate in both directions with one batched
-``prob.relative_majorization_mask``, the sorted-cumsum comparison where
-every q is uniform and the lengths agree.
+decides every candidate in both directions by the rule the keyed oracles
+decide one pair by, ``pcat.Dichotomy.reaches``: one batched
+``prob.relative_majorization_mask`` per direction.
 """
 
 from __future__ import annotations
@@ -48,11 +48,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .prob import INF, ExtValue, ext_to_json, relative_majorization_mask
+from .prob import INF, ExtValue, ext_to_json
 from .pcat import (
     COVARIANT,
     IDENTITY_TOL,
     VALUE_SLACK,
+    Dichotomy,
     DistRows,
     MonotoneSpec,
     ReachabilityOracle,
@@ -123,10 +124,11 @@ class ExtensionResult:
         return doc
 
 
-def _keys(prob: ExtensionProblem, y: ResourceRef):
-    """y's key and the candidates' image keys p and q, stacked, or None
-    unless the oracle and the functor both give keys, the image keys have
-    one length, and y's key decides keys of that length."""
+def _keys(prob: ExtensionProblem, y: ResourceRef) -> tuple[Dichotomy, Dichotomy] | None:
+    """y's key and the candidates' image keys as one ``Dichotomy`` of (N, n)
+    arrays, or None unless the oracle and the functor both give keys and
+    the image keys have one length.  The image keys are keys of y's theory,
+    so they decide across lengths where y's key does."""
     key, map_key = prob.target_oracle.key, prob.functor.map_key
     if key is None or map_key is None or not prob.candidates:
         return None
@@ -137,9 +139,7 @@ def _keys(prob: ExtensionProblem, y: ResourceRef):
     if images is None:
         return None
     p, q = images
-    if p.shape[-1] != len(target.p) and not target.across_lengths:
-        return None
-    return target, p, q
+    return target, Dichotomy(p, q, across_lengths=target.across_lengths)
 
 
 # (value, witness, exact) of one side of an extension
@@ -152,24 +152,21 @@ def _keyed(prob: ExtensionProblem, keys, takes_inf) -> list[_Side]:
     whose key agrees with y's within IDENTITY_TOL is admitted on both with
     y's ``identity`` witness.  The monotone is evaluated once, on the
     candidates some side admits; each side takes the first admissible
-    candidate that attains its bound, and is exact unless the oracle is
-    inexact and the side rejects some candidate."""
-    target, p, q = keys
-    admits = [
-        relative_majorization_mask(target.p, target.q, p, q),
-        relative_majorization_mask(p, q, target.p, target.q),
-    ]
-    same = np.zeros(len(p), bool)
-    if target.identity is not None and p.shape[-1] == len(target.p):
-        same = np.all(np.abs(p - target.p) <= IDENTITY_TOL, axis=-1) & np.all(
-            np.abs(q - target.q) <= IDENTITY_TOL, axis=-1
+    candidate that attains its bound, and is exact where y's key
+    ``certifies`` its mask."""
+    target, images = keys
+    admits = [target.reaches(images), images.reaches(target)]
+    same = np.zeros(len(images.p), bool)
+    if target.identity is not None and images.p.shape[-1] == len(target.p):
+        same = np.all(np.abs(images.p - target.p) <= IDENTITY_TOL, axis=-1) & np.all(
+            np.abs(images.q - target.q) <= IDENTITY_TOL, axis=-1
         )
         admits = [mask | same for mask in admits]
     index = np.flatnonzero(admits[0] | admits[1])
     values = prob.monotone.values(prob.candidates, index)
     sides = []
     for mask, inf in zip(admits, takes_inf):
-        exact = prob.target_oracle.exact or bool(mask.all())
+        exact = target.certifies(images, mask, prob.target_oracle.exact)
         side = np.flatnonzero(mask[index])
         if not side.size:
             sides.append((INF if inf else 0.0, None, exact))
@@ -218,17 +215,15 @@ def extension(
     and its exact flag covers its own decisions only.
 
     When the target oracle has a ``key`` for y and the functor a
-    ``map_key`` for the candidates, the image keys have one length, and y's
-    key decides keys of that length, no image is built and no pair is
-    handed to the oracle: all decisions come from two relative-majorization
-    masks of y's dichotomy key against the (N, n) image keys, one per
-    direction (Blackwell's test; Renes, arXiv:1510.03695; Gour et al.,
-    arXiv:1309.6586), and the monotone is evaluated on the admissible
-    candidates at once (``MonotoneSpec.values``).  Where y's key names an
-    ``identity`` witness, an image whose key agrees with y's within
-    IDENTITY_TOL is y itself and takes that witness both ways.  Positives
-    are exact; negatives are as exact as the oracle.  Otherwise, as for
-    mixed lengths, targets without a key and theories without keys, each
+    ``map_key`` for the candidates, and the image keys have one length, no
+    image is built and no pair is handed to the oracle: all decisions come
+    from two relative-majorization masks of y's dichotomy key against the
+    (N, n) image keys, one per direction, by the oracle's own rule
+    (``pcat.keyed_decision``), and the monotone is evaluated on the
+    admissible candidates at once (``MonotoneSpec.values``).  Where y's key names an ``identity``
+    witness, an image whose key agrees with y's within IDENTITY_TOL is y
+    itself and takes that witness both ways.  Otherwise, as for mixed
+    lengths, targets without a key and theories without keys, each
     candidate is mapped once and the oracle decides each pair.
     """
     covariant = prob.monotone.variance == COVARIANT

@@ -14,7 +14,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .prob import INF, Dist, ExtValue
+from .prob import INF, Dist, ExtValue, relative_majorization_mask
 
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
@@ -75,20 +75,44 @@ class Decision:
 
 
 class Dichotomy(NamedTuple):
-    """The order key of an object: weight arrays p and q of one length.
+    """The order key of an object: weight arrays p and q of one length, or
+    (N, n) arrays for a batch of keys.  One key reaches another where one
+    stochastic matrix carries its p and q to the other's (Blackwell 1953).
 
     ``identity``, where given, is the witness ``decide`` reports between
     two objects whose keys both name it and agree entry by entry within
     IDENTITY_TOL; such keys are written in one fixed basis, so that
     agreement means the objects are one.  ``across_lengths`` is False where
-    keys of unequal lengths do not decide reachability exactly.  The
-    extension sweep reads both from the target's key.
+    keys of unequal lengths do not decide reachability exactly.
     """
 
     p: np.ndarray
     q: np.ndarray
     identity: Any = None
     across_lengths: bool = True
+
+    def reaches(self, other: "Dichotomy") -> np.ndarray:
+        """Where this key reaches ``other``, over their broadcast leading
+        axes (``prob.relative_majorization_mask``)."""
+        return relative_majorization_mask(self.p, self.q, other.p, other.q)
+
+    def certifies(self, other: "Dichotomy", reached: np.ndarray | bool, exact: bool) -> bool:
+        """Whether the decisions ``reached`` between this key and ``other``,
+        in either direction, are exact: the lengths agree or both keys
+        decide across lengths, and every decision is positive or the
+        oracle is ``exact``."""
+        decides = self.p.shape[-1] == other.p.shape[-1] or (
+            self.across_lengths and other.across_lengths
+        )
+        return decides and (exact or bool(np.all(reached)))
+
+
+def keyed_decision(a: Dichotomy, b: Dichotomy, exact: bool) -> Decision:
+    """The decision between objects with keys a and b, for an oracle whose
+    negatives are exact iff ``exact``: reachable iff a reaches b, with no
+    witness, and exact where ``a.certifies`` it."""
+    reachable = bool(a.reaches(b))
+    return Decision(reachable, None, a.certifies(b, reachable, exact))
 
 
 @dataclass(frozen=True)
@@ -99,13 +123,10 @@ class ReachabilityOracle:
     individual decisions may still downgrade themselves via Decision.exact.
 
     ``key``, where given, maps an object to its ``Dichotomy``, or to None
-    where it has none.  For objects a and b with keys ka and kb (of equal
-    lengths, or of any lengths where ``kb.across_lengths``), ``decide(a,
-    b)`` says reachable iff one stochastic matrix carries ka.p to kb.p and
-    ka.q to kb.q (relative majorization; Blackwell 1953).  A positive is
-    exact and carries no witness, or the keys' ``identity`` where they
-    agree; a negative is exact iff the oracle is.  The extension sweep uses
-    it to decide all candidates at once.
+    where it has none.  Where a and b both have keys, ``decide(a, b)`` is
+    ``keyed_decision`` on them, save that a positive between objects that
+    are one may carry the keys' ``identity`` witness.  The extension sweep
+    applies the same rule to all candidates at once.
     """
 
     theory_id: str

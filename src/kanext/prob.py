@@ -244,8 +244,7 @@ def relative_majorization_mask(
 
     p and q share a last-axis length n, p2 and q2 a length k; the leading
     axes broadcast, so an (N, n) batch is decided against one length-k pair
-    in either direction by one call.  ``relatively_majorizes`` is the
-    single-pair case.
+    in either direction by one call; two 1-D pairs decide one pair.
 
     Blackwell's theorem for dichotomies (Blackwell 1953; Renes, J. Math.
     Phys. 57, 2016, arXiv:1510.03695): such an M exists iff for every t >= 0
@@ -279,18 +278,6 @@ def relative_majorization_mask(
         for i in range(0, len(flat[0]), step)
     ]
     return np.concatenate([np.zeros(0, bool), *chunks]).reshape(lead)
-
-
-def relatively_majorizes(source: tuple[Dist, Dist], target: tuple[Dist, Dist]) -> bool:
-    """True iff one stochastic matrix M carries p to p2 and q to q2
-    (``relative_majorization_mask`` on the weights).
-
-    A uniform map from length n to length k is a stochastic map carrying
-    u_n to u_k, so pairs (p, u_n) -> (q, u_k) decide uniform-map
-    reachability (Gour et al., Phys. Rep. 583, 2015, arXiv:1309.6586).
-    """
-    (p, q), (p2, q2) = source, target
-    return bool(relative_majorization_mask(p.weights, q.weights, p2.weights, q2.weights))
 
 
 def simplex_grid(length: int, step: float) -> np.ndarray:

@@ -32,6 +32,7 @@ from .pcat import (
     MonotoneSpec,
     ReachabilityOracle,
     ResourceRef,
+    keyed_decision,
 )
 from .prob import (
     Dist,
@@ -39,7 +40,6 @@ from .prob import (
     entropy_rows,
     kl_divergence,
     kl_rows,
-    relatively_majorizes,
     shannon_entropy,
 )
 from .quantum import (
@@ -80,12 +80,16 @@ def _uniform(n: int) -> Dist:
     return Dist.uniform(n)
 
 
+def _uniform_key(p: Dist) -> Dichotomy:
+    """(p, u_n): uniform maps are the stochastic maps carrying u_n to u_k."""
+    return Dichotomy(p.weights, _uniform(len(p)).weights)
+
+
 def rand_uniform_oracle(p: Dist, q: Dist) -> Decision:
-    """A uniform map is a stochastic map carrying u_n to u_k, so relative
-    majorization of (p, u_n) over (q, u_k) decides; at equal lengths that
-    is majorization of p over q.  No witness is built."""
-    reachable = relatively_majorizes((p, _uniform(len(p))), (q, _uniform(len(q))))
-    return Decision(reachable, None, exact=True)
+    """A uniform map is a stochastic map carrying u_n to u_k, so the keys
+    (p, u_n) and (q, u_k) decide; at equal lengths that is majorization of
+    p over q.  No witness is built."""
+    return keyed_decision(_uniform_key(p), _uniform_key(q), exact=True)
 
 
 def uniform_map_witness(p: Dist, q: Dist) -> StochMatrix | None:
@@ -94,6 +98,13 @@ def uniform_map_witness(p: Dist, q: Dist) -> StochMatrix | None:
     if len(p) == len(q):
         return None
     return exists_uniform_map(p, q).witness
+
+
+def _spectrum_key(rho: DensityMatrix) -> Dichotomy:
+    """(spectrum, u_d), which decides unital channels exactly at equal
+    dimensions only (Uhlmann 1971)."""
+    spectrum = rho.spectrum.eigenvalues
+    return Dichotomy(spectrum.weights, _uniform(len(spectrum)).weights, across_lengths=False)
 
 
 def qrand_quniform_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> Decision:
@@ -107,9 +118,7 @@ def qrand_quniform_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> Decision:
     genuine but the decision is flagged inexact, since no theorem here
     covers unital channels between different dimensions.
     """
-    spectra = rho.spectrum.eigenvalues, sigma.spectrum.eigenvalues
-    reachable = rand_uniform_oracle(*spectra).reachable
-    return Decision(reachable, None, exact=rho.dim == sigma.dim)
+    return keyed_decision(_spectrum_key(rho), _spectrum_key(sigma), exact=True)
 
 
 def qrand_quniform_witness(
@@ -119,12 +128,17 @@ def qrand_quniform_witness(
     return uniform_map_witness(rho.spectrum.eigenvalues, sigma.spectrum.eigenvalues)
 
 
+def _dist_pair_key(pair: tuple[Dist, Dist]) -> Dichotomy:
+    """The pair (p, q) itself: joint stochastic maps are the free maps."""
+    return Dichotomy(pair[0].weights, pair[1].weights)
+
+
 def cdistinguish_oracle(
     pair: tuple[Dist, Dist], target: tuple[Dist, Dist]
 ) -> Decision:
     """One stochastic matrix must carry both components simultaneously,
     which relative majorization decides."""
-    return Decision(relatively_majorizes(pair, target), None, exact=True)
+    return keyed_decision(_dist_pair_key(pair), _dist_pair_key(target), exact=True)
 
 
 def cdistinguish_witness(
@@ -158,21 +172,30 @@ def _common_eigenbasis(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return basis
 
 
-def _joint_outcomes(
-    source: tuple[DensityMatrix, DensityMatrix],
-    target: tuple[DensityMatrix, DensityMatrix],
-) -> tuple[tuple[Dist, Dist], tuple[Dist, Dist]] | None:
-    """Both pairs measured in a joint eigenbasis, or None unless each pair
-    commutes internally."""
-    (rho, sigma), (rho2, sigma2) = source, target
-    v = _common_eigenbasis(rho.entries, sigma.entries)
-    w = _common_eigenbasis(rho2.entries, sigma2.entries)
-    if v is None or w is None:
+def _off_diagonal(m: np.ndarray) -> float:
+    """The largest off-diagonal entry of m in absolute value."""
+    return float(np.max(np.abs(m - np.diag(np.diagonal(m)))))
+
+
+def _density_pair_key(
+    pair: tuple[DensityMatrix, DensityMatrix], fixed_basis: bool = True
+) -> Dichotomy | None:
+    """Both states measured in a joint eigenbasis, or None unless they
+    commute.  With ``fixed_basis``, a pair diagonal to within IDENTITY_TOL
+    is measured in the standard basis instead, where keys that agree mean
+    equal pairs: then the key names the identity witness, as the oracle's
+    shortcut does."""
+    rho, sigma = pair
+    basis = _common_eigenbasis(rho.entries, sigma.entries)
+    if basis is None:
         return None
-    return (
-        (basis_outcomes(rho, v), basis_outcomes(sigma, v)),
-        (basis_outcomes(rho2, w), basis_outcomes(sigma2, w)),
+    diagonal = fixed_basis and (
+        max(_off_diagonal(rho.entries), _off_diagonal(sigma.entries)) <= IDENTITY_TOL
     )
+    if diagonal:
+        basis = np.eye(rho.dim)
+    p, q = basis_outcomes(rho, basis), basis_outcomes(sigma, basis)
+    return Dichotomy(p.weights, q.weights, IDENTITY_WITNESS if diagonal else None)
 
 
 def distinguish_restricted_oracle(
@@ -196,21 +219,23 @@ def distinguish_restricted_oracle(
         )
         if same:
             return Decision(True, IDENTITY_WITNESS, exact=True)
-    classical = _joint_outcomes(source, target)
-    if classical is not None and relatively_majorizes(*classical):
-        return Decision(True, None, exact=True)
-    return Decision(False, None, exact=False)
+    a, b = _density_pair_key(source), _density_pair_key(target)
+    if a is None or b is None:
+        return Decision(False, None, exact=False)
+    return keyed_decision(a, b, exact=False)
 
 
 def distinguish_restricted_witness(
     source: tuple[DensityMatrix, DensityMatrix],
     target: tuple[DensityMatrix, DensityMatrix],
 ) -> StochMatrix | None:
-    """The LP's joint map between the pairs' joint-eigenbasis outcomes."""
-    classical = _joint_outcomes(source, target)
-    if classical is None:
+    """The LP's joint map between the pairs' outcomes in their joint
+    eigenbases, in whose order its rows and columns run."""
+    keys = [_density_pair_key(pair, fixed_basis=False) for pair in (source, target)]
+    if keys[0] is None or keys[1] is None:
         return None
-    return exists_joint_stochastic_map(*classical).witness
+    pair, image = ((Dist.of_row(k.p), Dist.of_row(k.q)) for k in keys)
+    return exists_joint_stochastic_map(pair, image).witness
 
 
 def embed_classical_payload(payload):
@@ -221,45 +246,11 @@ def embed_classical_payload(payload):
     return (embed_classical(p), embed_classical(q))
 
 
-def _uniform_key(p: Dist) -> Dichotomy:
-    """(p, u_n): uniform maps are the stochastic maps carrying u_n to u_k."""
-    return Dichotomy(p.weights, _uniform(len(p)).weights)
-
-
-def _spectrum_key(rho: DensityMatrix) -> Dichotomy:
-    """(spectrum, u_d).  At equal dimensions majorization of spectra decides
-    unital channels (Uhlmann 1971); across dimensions the oracle's decision
-    is inexact, so these keys decide equal dimensions only."""
-    spectrum = rho.spectrum.eigenvalues
-    return Dichotomy(spectrum.weights, _uniform(len(spectrum)).weights, across_lengths=False)
-
-
-def _off_diagonal(m: np.ndarray) -> float:
-    """The largest off-diagonal entry of m in absolute value."""
-    return float(np.max(np.abs(m - np.diag(np.diagonal(m)))))
-
-
-def _density_pair_key(pair: tuple[DensityMatrix, DensityMatrix]) -> Dichotomy | None:
-    """Both states measured in a joint eigenbasis, or None unless they
-    commute.  A pair diagonal to within IDENTITY_TOL is measured in the
-    standard basis, where keys that agree mean equal pairs: then the key
-    names the identity witness, as the oracle's shortcut does."""
-    rho, sigma = pair
-    basis = _common_eigenbasis(rho.entries, sigma.entries)
-    if basis is None:
-        return None
-    diagonal = max(_off_diagonal(rho.entries), _off_diagonal(sigma.entries)) <= IDENTITY_TOL
-    if diagonal:
-        basis = np.eye(rho.dim)
-    p, q = basis_outcomes(rho, basis), basis_outcomes(sigma, basis)
-    return Dichotomy(p.weights, q.weights, IDENTITY_WITNESS if diagonal else None)
-
-
 # Dichotomy keys (ReachabilityOracle.key) of payloads, by theory.
 _ORDER_KEYS = {
     RAND_UNIFORM: _uniform_key,
     QRAND_QUNIFORM: _spectrum_key,
-    CDISTINGUISH: lambda pair: Dichotomy(pair[0].weights, pair[1].weights),
+    CDISTINGUISH: _dist_pair_key,
     DISTINGUISH_RESTRICTED: _density_pair_key,
 }
 

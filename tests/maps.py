@@ -1,12 +1,13 @@
 """Stochastic maps, quantum channels and states that only the tests build.
 
-The single-pair majorization test, pushing distributions through
-matrices, predicates on matrices, Kraus channels with the
-measure-and-reassign embedding of stochastic matrices, the partial trace,
-the maximally mixed state, projectors of pure states and the JSON
-encoding of complex matrices.  The CLI decides reachability without
-applying a map or a channel, decides majorization in batches and reads
-matrices without writing them, so none of this ships in the package.
+The single-pair majorization and relative-majorization tests on
+``Dist`` objects, pushing distributions through matrices, predicates on
+matrices, Kraus channels with the measure-and-reassign embedding of
+stochastic matrices, the partial trace, the maximally mixed state,
+projectors of pure states and the JSON encoding of complex matrices.  The
+CLI decides reachability without applying a map or a channel, decides
+majorization on weight arrays and reads matrices without writing them, so
+none of this ships in the package.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from kanext.prob import (
     InvariantViolation,
     StochMatrix,
     majorization_mask,
+    relative_majorization_mask,
 )
 from kanext.quantum import BipartitePure, DensityMatrix
 
@@ -41,6 +43,18 @@ def majorizes(p: Dist, q: Dist) -> bool:
     if len(p) != len(q):
         raise DimensionMismatch(f"lengths {len(p)} and {len(q)} differ")
     return bool(majorization_mask(p.weights, q.weights))
+
+
+def relatively_majorizes(source: tuple[Dist, Dist], target: tuple[Dist, Dist]) -> bool:
+    """True iff one stochastic matrix M carries p to p2 and q to q2
+    (``relative_majorization_mask`` on the weights).
+
+    A uniform map from length n to length k is a stochastic map carrying
+    u_n to u_k, so pairs (p, u_n) -> (q, u_k) decide uniform-map
+    reachability (Gour et al., Phys. Rep. 583, 2015, arXiv:1309.6586).
+    """
+    (p, q), (p2, q2) = source, target
+    return bool(relative_majorization_mask(p.weights, q.weights, p2.weights, q2.weights))
 
 
 def apply(p: Dist, m: StochMatrix) -> Dist:

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_dists
-from kanext import cli, lp, prob, theories
+from kanext import cli, lp, pcat, prob, theories
 from kanext.kan import ExtensionProblem, FunctorMap
 from kanext.lp import exists_joint_stochastic_map, exists_uniform_map
 from kanext.pcat import (
@@ -137,6 +137,20 @@ class TestReach:
         assert (code, doc["reachable"], doc["exact"]) == (0, True, True)
         assert doc["witness"] == expected.witness.to_json()
 
+    @pytest.mark.parametrize(
+        "source, target, reachable",
+        [([0.7, 0.3], [1.0], True), ([1.0], [0.7, 0.3], False)],
+        ids=["positive", "negative"],
+    )
+    def test_unital_channels_across_dimensions_are_inexact(
+        self, tmp_path, source, target, reachable
+    ):
+        code, doc, _ = run_and_validate(tmp_path, {
+            "command": "reach", "theory": "qrand_quniform",
+            "source": density_json(source), "target": density_json(target),
+        })
+        assert (code, doc["reachable"], doc["exact"]) == (0, reachable, False)
+
 
 class TestExtend:
     def test_spectral_candidates_coincide(self, tmp_path):
@@ -251,6 +265,29 @@ class TestExtend:
         h = shannon_entropy(Dist([0.75, 0.25]))
         assert doc["minimal"]["value"] == pytest.approx(h)
         assert doc["maximal"]["value"] == pytest.approx(h)
+
+    def test_unital_channels_across_dimensions_run_keyed(self, tmp_path, monkeypatch):
+        # length-3 candidates into a d = 4 target: the spectrum keys decide
+        # every candidate, no pair reaches the oracle, and both sides are
+        # inexact, as the per-pair decisions across dimensions are
+        decided = []
+        oracle = theories.qrand_quniform_oracle
+        monkeypatch.setattr(theories, "qrand_quniform_oracle",
+                            lambda a, b: decided.append(1) or oracle(a, b))
+        code, doc, _ = run_and_validate(tmp_path, {
+            "command": "extend", "theory": "qrand_quniform",
+            "functor": "classical_to_quantum", "monotone": "shannon",
+            "variance": "covariant", "target": density_json([0.4, 0.3, 0.2, 0.1]),
+            "candidates": {"kind": "explicit", "objects": [
+                [0.5, 0.3, 0.2], [1.0, 0.0, 0.0], [0.34, 0.33, 0.33], [0.6, 0.4, 0.0],
+                [0.45, 0.35, 0.2],
+            ]},
+        })
+        assert (code, decided) == (0, [])
+        assert doc["minimal"] == {"value": 1.4854752972273344, "examined": 5,
+                                  "exact": False, "witness": "rand_uniform:[0.5, 0.3, 0.2]"}
+        assert doc["maximal"] == {"value": 0.9709505944546686, "examined": 5,
+                                  "exact": False, "witness": "rand_uniform:[0.6, 0.4, 0]"}
 
 
 class TestVerify:
@@ -579,6 +616,33 @@ class TestUsageErrors:
         assert run_main(tmp_path, cfg) == (2, "")
         assert_one_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize(
+        "cfg, kind",
+        [
+            ({"command": "reach", "theory": "rand_uniform", "source": [10**400, 0.5],
+              "target": [1.0]}, "dist"),
+            ({"command": "reach", "theory": "cdistinguish", "source": [[10**400], [1.0]],
+              "target": [[1.0], [1.0]]}, "dist_pair"),
+            ({"command": "reach", "theory": "qrand_quniform", "source": [[[10**400, 0]]],
+              "target": [[[1, 0]]]}, "density"),
+            ({"command": "reach", "theory": "distinguish_restricted",
+              "source": [[[[1, 0]]], [[[0, 10**400]]]],
+              "target": [[[[1, 0]]], [[[1, 0]]]]}, "density_pair"),
+            ({"command": "reach", "theory": "purebip_locc",
+              "source": {"dims": [1, 1], "state": [[10**400, 0]]},
+              "target": {"dims": [1, 1], "state": [[1, 0]]}}, "pure"),
+            ({"command": "extend", "theory": "rand_uniform", "functor": "identity",
+              "monotone": "shannon", "variance": "covariant", "target": [1.0],
+              "candidates": {"kind": "explicit", "objects": [[1.0], [10**400]]}}, "dist"),
+        ],
+        ids=["dist", "dist_pair", "density", "density_pair", "pure", "explicit_candidates"],
+    )
+    def test_integers_too_large_for_a_float_exit_2(self, tmp_path, capsys, cfg, kind):
+        assert run_main(tmp_path, cfg) == (2, "")
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err.startswith(f"error: bad {kind} object: ")
+
     def test_deterministic_search_past_its_budget_exits_2(self, tmp_path, capsys, monkeypatch):
         cfg = {"command": "reach", "theory": "rand_detmn",
                "source": list(np.arange(1, 13) / 78), "target": [0.501, 0.499]}
@@ -770,7 +834,7 @@ class TestUsageErrors:
             raise Decided
 
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(prob, "relative_majorization_mask", no_decision)
+        monkeypatch.setattr(pcat, "relative_majorization_mask", no_decision)
         for name in ("exists_uniform_map", "exists_joint_stochastic_map"):
             monkeypatch.setattr(theories, name, no_decision)
 

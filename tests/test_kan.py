@@ -516,13 +516,16 @@ class TestKeyedSweep:
         assert not lo.exact and not hi.exact
         self.check(prob, [embedded_pair(y)])
 
-    def test_unital_channels_across_dimensions_fall_back(self, rng):
-        # spectrum keys decide equal dimensions only: d = 4 targets against
-        # length-3 candidates are decided pair by pair, and flagged inexact
+    def test_unital_channels_across_dimensions_run_keyed(self, rng):
+        # spectrum keys decide equal dimensions only exactly: d = 4 targets
+        # against length-3 candidates are decided by the keys, and flagged
+        # inexact as the per-pair decisions are
         prob = embedding_problem(grid_dists(3, 0.25), complete=True)
         targets = [ResourceRef(QRAND_QUNIFORM, random_density(rng, 4)) for _ in range(3)]
         targets += [ResourceRef(QRAND_QUNIFORM, embed_classical(Dist([0.5, 0.5, 0.0, 0.0])))]
-        self.check(prob, targets, keyed=False)
+        self.check(prob, targets)
+        for y in targets:
+            assert not any(side.exact for side in extension(prob, y))
 
     def test_noncommuting_target_falls_back(self, rng):
         y, pairs = pair_family(rng, 12, 3, 3)

@@ -25,12 +25,11 @@ from kanext.prob import (
     kl_divergence,
     random_stochastic,
     relative_majorization_mask,
-    relatively_majorizes,
     shannon_entropy,
     simplex_grid,
 )
 from kanext.theories import rand_uniform_oracle
-from maps import apply, is_deterministic, is_uniform_matrix, majorizes
+from maps import apply, is_deterministic, is_uniform_matrix, majorizes, relatively_majorizes
 
 
 def brute_force_deterministic(p: Dist, q: Dist) -> bool:

@@ -24,7 +24,6 @@ from kanext.prob import (
     majorization_mask,
     random_uniform_matrix,
     relative_majorization_mask,
-    relatively_majorizes,
     shannon_entropy,
     simplex_grid,
 )
@@ -34,6 +33,7 @@ from maps import (
     is_uniform_matrix,
     majorizes,
     random_deterministic,
+    relatively_majorizes,
 )
 
 
