@@ -14,12 +14,9 @@ from .prob import (
     simplex_grid,
 )
 from .lp import (
-    FeasResult,
-    LpFeasibility,
     exists_deterministic_map,
     exists_joint_stochastic_map,
     exists_uniform_map,
-    solve_feasibility,
 )
 from .quantum import (
     BipartitePure,

@@ -2,14 +2,15 @@
 
 All questions here reduce to equality-form LP feasibility over nonnegative
 variables, decided by a phase-1 simplex with Bland's anti-cycling rule.
-Problem sizes are small (a few hundred variables), so the tableau is dense,
-and many systems of one shape are solved at once as a stack of tableaux;
-a single system is a stack of one.
+Every question is one system, a stochastic map carrying a pair of weight
+vectors to another pair (``_joint_system``).  Problem sizes are small (at
+most LP_VARIABLES_CAP variables), so the tableau is dense, and many systems
+of one shape are solved at once as a stack of tableaux; a single system is
+a stack of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +30,10 @@ DETERMINISTIC_TOL = 1e-10
 # Most entries of one stack of tableaux; larger batches of systems are
 # built and solved in row chunks.
 LP_CHUNK_ENTRIES = 1 << 15
+# Most entries (n k, one LP variable each) of a map the simplex looks for.
+# A joint map between random images took 0.8 s at 32 x 31 and 17 s at
+# 48 x 47 on a 2-core Xeon VM.
+LP_VARIABLES_CAP = 1_024
 # Function enumeration is |Y|^|X|; keep |X| at desk scale.
 DETERMINISTIC_SIZE_CAP = 12
 # Most search-tree nodes (one outcome placed on one entry of q) the
@@ -42,37 +47,7 @@ class SimplexIterationError(RuntimeError):
 
 
 class SizeLimitError(ValueError):
-    """Problem exceeds the enumeration cap."""
-
-
-@dataclass(frozen=True)
-class LpFeasibility:
-    """Equality constraints A x = b over variables x >= 0."""
-
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a_eq, dtype=float))
-        b = np.asarray(self.b_eq, dtype=float).reshape(-1)
-        if a.shape[0] != b.shape[0]:
-            raise DimensionMismatch(f"{a.shape[0]} rows vs {b.shape[0]} right-hand sides")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("constraints must be finite")
-        object.__setattr__(self, "a_eq", a)
-        object.__setattr__(self, "b_eq", b)
-
-
-@dataclass(frozen=True)
-class FeasResult:
-    """Outcome of a feasibility question, with a witness when feasible."""
-
-    status: str
-    witness: object | None = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == "feasible"
+    """Problem exceeds a size cap of the LP or the deterministic-map search."""
 
 
 def _phase1(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -142,15 +117,15 @@ def _phase1(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return feasible, final_basis, values
 
 
-def solve_feasibility(problem: LpFeasibility) -> FeasResult:
-    """Phase-1 simplex: feasible iff the artificial objective reaches zero."""
-    n = problem.a_eq.shape[1]
-    feasible, basis, values = _phase1(problem.a_eq[None], problem.b_eq[None])
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """A nonnegative x with A x = b for one system, from the phase-1 basis
+    of a stack of one, or None if there is none."""
+    feasible, basis, values = _phase1(a[None], b[None])
     if not feasible[0]:
-        return FeasResult("infeasible")
-    x = np.zeros(n + basis.shape[1])
+        return None
+    x = np.zeros(a.shape[1] + basis.shape[1])
     x[basis[0]] = np.maximum(values[0], 0.0)
-    return FeasResult("feasible", x[:n].copy())
+    return x[:a.shape[1]].copy()
 
 
 @lru_cache(maxsize=128)
@@ -162,44 +137,24 @@ def _row_sum_structure(n: int, k: int) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=128)
-def _uniform_structure(n: int, k: int) -> np.ndarray:
-    """Row-sum rows plus all but the last column-sum row."""
-    block = np.zeros((n + k - 1, n * k))
-    block[:n] = _row_sum_structure(n, k)
-    for j in range(k - 1):
-        block[n + j, j::k] = 1.0
-    block.setflags(write=False)
-    return block
-
-
-def _uniform_system(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A x = b for a uniform map carrying each row of p (N, n) to the same
-    row of q (N, k), with x the map's n k entries, row-major.
-
-    The last column-sum and image constraints are implied by the rest (both
-    blocks total the row sums), so they are dropped from the system.
-    """
-    rows, n = p.shape
-    k = q.shape[1]
-    a = np.zeros((rows, n + 2 * (k - 1), n * k))
-    a[:, :n + k - 1] = _uniform_structure(n, k)    # row sums, column sums
-    for j in range(k - 1):                         # image constraint p M = q
-        a[:, n + k - 1 + j, j::k] = p
-    b = np.concatenate(
-        [np.ones((rows, n)), np.full((rows, k - 1), n / k), q[:, :-1]], axis=1
-    )
-    return a, b
-
-
 def _joint_system(
     p: np.ndarray, q: np.ndarray, p2: np.ndarray, q2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """A x = b for one stochastic map carrying row i of p and q (N, n) to
-    row i of p2 and q2 (N, k).  One image constraint per component is
-    implied by the row sums, so it is dropped."""
+    row i of p2 and q2 (N, k), with x the map's n k entries, row-major.
+    One image constraint per component is implied by the row sums, so it
+    is dropped.  Maps of more than LP_VARIABLES_CAP entries are refused
+    before anything is built."""
     rows, n = p.shape
     k = p2.shape[1]
+    if q.shape[1] != n:
+        raise DimensionMismatch("pair components must share a length")
+    if q2.shape[1] != k:
+        raise DimensionMismatch("target components must share a length")
+    if n * k > LP_VARIABLES_CAP:
+        raise SizeLimitError(
+            f"a {n} x {k} map has {n * k} LP variables, over the cap of {LP_VARIABLES_CAP}"
+        )
     a = np.zeros((rows, n + 2 * (k - 1), n * k))
     a[:, :n] = _row_sum_structure(n, k)
     for j in range(k - 1):
@@ -209,63 +164,41 @@ def _joint_system(
     return a, b
 
 
-def _feasible_rows(system, *arrays: np.ndarray) -> np.ndarray:
-    """Where ``system`` (one of the builders above) is feasible, for weight
-    arrays whose leading axes broadcast, the first of length n and the last
-    of length k.  The rows are built and solved LP_CHUNK_ENTRIES tableau
-    entries at a time."""
-    n, k = arrays[0].shape[-1], arrays[-1].shape[-1]
-    shape = np.broadcast_shapes(*(x.shape[:-1] for x in arrays))
-    lead = shape or (1,)
-    views = [np.broadcast_to(x, lead + x.shape[-1:]) for x in arrays]
-    m, width = n + 2 * (k - 1), n * k
-    step = max(1, LP_CHUNK_ENTRIES // ((m + 1) * (width + m + 1)))
-    total = int(np.prod(lead))
-    verdict = np.empty(total, dtype=bool)
-    for start in range(0, total, step):
-        at = np.unravel_index(np.arange(start, min(start + step, total)), lead)
-        verdict[start:start + step] = _phase1(*system(*(v[at] for v in views)))[0]
-    return verdict.reshape(shape)
+def _joint_map(
+    p: np.ndarray, q: np.ndarray, p2: np.ndarray, q2: np.ndarray
+) -> StochMatrix | None:
+    """The simplex's map carrying p and q to p2 and q2, or None."""
+    a, b = _joint_system(p[None], q[None], p2[None], q2[None])
+    x = _solve(a[0], b[0])
+    return None if x is None else StochMatrix(x.reshape(len(p), len(p2)))
 
 
-def exists_uniform_map(p: Dist, q: Dist) -> FeasResult:
-    """Is there a uniform stochastic matrix carrying p to q?
+def exists_uniform_map(p: Dist, q: Dist) -> StochMatrix | None:
+    """A uniform stochastic matrix carrying p to q, or None.
 
     Uniform means rows sum to 1 and every column sums to |X|/|Y|; for equal
-    lengths this is doubly stochastic.  Majorization q <= p holds exactly
-    when such a matrix exists, which tests exploit as a cross-check.
+    lengths this is doubly stochastic.  Those are exactly the stochastic
+    maps carrying u_n to u_k (Gour et al., arXiv:1309.6586), so this is the
+    joint map of (1_n, p) to ((n/k) 1_k, q).  Majorization q <= p holds
+    exactly when such a matrix exists, which tests exploit as a cross-check.
     """
     n, k = len(p), len(q)
-    a, b = _uniform_system(p.weights[None], q.weights[None])
-    res = solve_feasibility(LpFeasibility(a[0], b[0]))
-    if not res.feasible:
-        return res
-    return FeasResult("feasible", StochMatrix(res.witness.reshape(n, k)))
+    return _joint_map(np.ones(n), p.weights, np.full(k, n / k), q.weights)
 
 
 def uniform_map_mask(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Where a uniform map carries p to q, for weight arrays of lengths n
     and k whose leading axes broadcast: ``exists_uniform_map``'s verdict on
     every pair, from one batched simplex and with no witness."""
-    return _feasible_rows(_uniform_system, p, q)
+    n, k = p.shape[-1], q.shape[-1]
+    return joint_map_mask(np.ones(n), p, np.full(k, n / k), q)
 
 
 def exists_joint_stochastic_map(
     pair: tuple[Dist, Dist], target: tuple[Dist, Dist]
-) -> FeasResult:
-    """Is there one stochastic M with p M = p' and q M = q'?"""
-    p, q = pair
-    p2, q2 = target
-    if len(p) != len(q):
-        raise DimensionMismatch("pair components must share a length")
-    if len(p2) != len(q2):
-        raise DimensionMismatch("target components must share a length")
-    n, k = len(p), len(p2)
-    a, b = _joint_system(*(d.weights[None] for d in (p, q, p2, q2)))
-    res = solve_feasibility(LpFeasibility(a[0], b[0]))
-    if not res.feasible:
-        return res
-    return FeasResult("feasible", StochMatrix(res.witness.reshape(n, k)))
+) -> StochMatrix | None:
+    """One stochastic M with p M = p' and q M = q', or None."""
+    return _joint_map(*(d.weights for d in pair + target))
 
 
 def joint_map_mask(
@@ -274,16 +207,25 @@ def joint_map_mask(
     """Where one stochastic map carries p to p2 and q to q2, for weight
     arrays whose leading axes broadcast (p and q of length n, p2 and q2 of
     length k): ``exists_joint_stochastic_map``'s verdict on every row, from
-    one batched simplex and with no witness."""
-    if q.shape[-1] != p.shape[-1]:
-        raise DimensionMismatch("pair components must share a length")
-    if q2.shape[-1] != p2.shape[-1]:
-        raise DimensionMismatch("target components must share a length")
-    return _feasible_rows(_joint_system, p, q, p2, q2)
+    one batched simplex and with no witness.  The rows are built and solved
+    LP_CHUNK_ENTRIES tableau entries at a time."""
+    arrays = (p, q, p2, q2)
+    shape = np.broadcast_shapes(*(x.shape[:-1] for x in arrays))
+    lead = shape or (1,)
+    views = [np.broadcast_to(x, lead + x.shape[-1:]) for x in arrays]
+    n, k = p.shape[-1], p2.shape[-1]
+    m, width = n + 2 * (k - 1), n * k
+    step = max(1, LP_CHUNK_ENTRIES // ((m + 1) * (width + m + 1)))
+    total = int(np.prod(lead))
+    verdict = np.empty(total, dtype=bool)
+    for start in range(0, total, step):
+        at = np.unravel_index(np.arange(start, min(start + step, total)), lead)
+        verdict[start:start + step] = _phase1(*_joint_system(*(v[at] for v in views)))[0]
+    return verdict.reshape(shape)
 
 
-def exists_deterministic_map(p: Dist, q: Dist) -> FeasResult:
-    """Is there a function on outcomes carrying p to q?
+def exists_deterministic_map(p: Dist, q: Dist) -> StochMatrix | None:
+    """A function on outcomes carrying p to q, as a 0/1 matrix, or None.
 
     Searches assignments of p's outcomes to q's by backtracking over partial
     sums, largest weights first.  Outcomes never map onto zero entries of q,
@@ -302,7 +244,7 @@ def exists_deterministic_map(p: Dist, q: Dist) -> FeasResult:
         raise SizeLimitError(f"|X| = {n} exceeds cap {DETERMINISTIC_SIZE_CAP}")
     # every entry of q beyond the tolerance needs an outcome of its own
     if np.count_nonzero(q.weights > DETERMINISTIC_TOL) > np.count_nonzero(p.weights):
-        return FeasResult("infeasible")
+        return None
     targets = q.weights.tolist()
     order = np.argsort(-p.weights)
     weights = p.weights[order].tolist()
@@ -334,7 +276,7 @@ def exists_deterministic_map(p: Dist, q: Dist) -> FeasResult:
         return False
 
     if not backtrack(0):
-        return FeasResult("infeasible")
+        return None
     m = np.zeros((n, k))
     m[order, assignment] = 1.0
-    return FeasResult("feasible", StochMatrix(m))
+    return StochMatrix(m)

@@ -70,8 +70,8 @@ IDENTITY_WITNESS = "identity"
 
 def rand_detmn_oracle(p: Dist, q: Dist) -> Decision:
     """A free arrow exists iff some function on outcomes carries p to q."""
-    res = exists_deterministic_map(p, q)
-    return Decision(res.feasible, res.witness, exact=True)
+    witness = exists_deterministic_map(p, q)
+    return Decision(witness is not None, witness, exact=True)
 
 
 @lru_cache(maxsize=64)
@@ -97,7 +97,7 @@ def uniform_map_witness(p: Dist, q: Dist) -> StochMatrix | None:
     none at equal lengths, where majorization decides."""
     if len(p) == len(q):
         return None
-    return exists_uniform_map(p, q).witness
+    return exists_uniform_map(p, q)
 
 
 def _spectrum_key(rho: DensityMatrix) -> Dichotomy:
@@ -139,13 +139,6 @@ def cdistinguish_oracle(
     """One stochastic matrix must carry both components simultaneously,
     which relative majorization decides."""
     return keyed_decision(_dist_pair_key(pair), _dist_pair_key(target), exact=True)
-
-
-def cdistinguish_witness(
-    pair: tuple[Dist, Dist], target: tuple[Dist, Dist]
-) -> StochMatrix | None:
-    """The LP's joint map carrying the pair to the target."""
-    return exists_joint_stochastic_map(pair, target).witness
 
 
 def purebip_locc_oracle(phi: BipartitePure, psi: BipartitePure) -> Decision:
@@ -235,7 +228,7 @@ def distinguish_restricted_witness(
     if keys[0] is None or keys[1] is None:
         return None
     pair, image = ((Dist.of_row(k.p), Dist.of_row(k.q)) for k in keys)
-    return exists_joint_stochastic_map(pair, image).witness
+    return exists_joint_stochastic_map(pair, image)
 
 
 def embed_classical_payload(payload):
@@ -383,7 +376,9 @@ def default_registry() -> TheoryRegistry:
             qrand_quniform_witness,
         ),
         CDISTINGUISH: TheoryEntry(
-            "dist_pair", _wrap(CDISTINGUISH, cdistinguish_oracle, True), cdistinguish_witness
+            "dist_pair",
+            _wrap(CDISTINGUISH, cdistinguish_oracle, True),
+            exists_joint_stochastic_map,
         ),
         DISTINGUISH_RESTRICTED: TheoryEntry(
             "density_pair",

@@ -219,7 +219,7 @@ def test_criterion_6_data_processing():
         q = Dist(rng.dirichlet(np.ones(n)))
         m = random_stochastic(rng, n, k)
         p2, q2 = apply(p, m), apply(q, m)
-        if not exists_joint_stochastic_map((p, q), (p2, q2)).feasible:
+        if exists_joint_stochastic_map((p, q), (p2, q2)) is None:
             infeasible += 1
             continue
         if not ext_leq(kl_divergence(p2, q2), kl_divergence(p, q), 1e-9):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from conftest import grid_dists
 from kanext import cli, lp, pcat, prob, theories
 from kanext.kan import ExtensionProblem, FunctorMap
-from kanext.lp import exists_joint_stochastic_map, exists_uniform_map
 from kanext.pcat import (
     COVARIANT,
     Decision,
@@ -113,19 +112,31 @@ class TestReach:
         assert code == 0
         assert doc["witness"] == [[1.0], [1.0]]
 
-    @pytest.mark.parametrize("theory", ["rand_uniform", "cdistinguish",
-                                        "distinguish_restricted"])
-    def test_positives_print_the_lp_witness(self, tmp_path, theory):
+    JOINT_WITNESS = [[1.0, 0.0], [0.49999999999999994, 0.5000000000000001], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("theory, exact, witness", [
+        ("rand_uniform", True, [[0.8333333333333334, 0.16666666666666663],
+                                [0.0, 1.0],
+                                [0.6666666666666666, 0.33333333333333337]]),
+        ("cdistinguish", True, JOINT_WITNESS),
+        ("distinguish_restricted", True, JOINT_WITNESS),
+        ("qrand_quniform", False, [[1.0, 0.0, 0.0],
+                                   [0.3333333333333333, 0.6666666666666667, 0.0],
+                                   [0.0, 0.33333333333333254, 0.6666666666666674],
+                                   [0.0, 0.333333333333334, 0.6666666666666661]]),
+    ], ids=["rand_uniform", "cdistinguish", "distinguish_restricted", "qrand_quniform"])
+    def test_positives_print_the_lp_witness(self, tmp_path, theory, exact, witness):
+        """The simplex's witnesses, pinned to their bytes, so that a change
+        of witness shows as an edit here."""
         p, q = [0.2, 0.3, 0.5], [0.5, 0.3, 0.2]
         m = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
         p2, q2 = list(np.array(p) @ m), list(np.array(q) @ m)
         if theory == "rand_uniform":
             source, target = p, [0.5, 0.5]
-            expected = exists_uniform_map(Dist(p), Dist([0.5, 0.5]))
+        elif theory == "qrand_quniform":  # spectra of unequal lengths
+            source, target = density_json([0.1, 0.2, 0.3, 0.4]), density_json([0.5, 0.3, 0.2])
         else:
             source, target = [p, q], [p2, q2]
-            expected = exists_joint_stochastic_map(
-                (Dist(p), Dist(q)), (Dist(p2), Dist(q2)))
         if theory == "distinguish_restricted":
             # p and p2 increase strictly, so the joint eigenbases keep the
             # standard outcome order and the classical LP applies as is
@@ -134,8 +145,8 @@ class TestReach:
         code, doc, _ = run_and_validate(tmp_path, {
             "command": "reach", "theory": theory, "source": source, "target": target,
         })
-        assert (code, doc["reachable"], doc["exact"]) == (0, True, True)
-        assert doc["witness"] == expected.witness.to_json()
+        assert (code, doc["reachable"], doc["exact"]) == (0, True, exact)
+        assert doc["witness"] == witness
 
     @pytest.mark.parametrize(
         "source, target, reachable",
@@ -846,6 +857,35 @@ class TestUsageErrors:
         # at the cap the payload is admitted, so it reaches the first decision
         with pytest.raises(Decided):
             run_at(cli.PAYLOAD_LENGTH_CAP)
+
+    @pytest.mark.parametrize("theory", ["rand_uniform", "cdistinguish"])
+    def test_lp_witness_is_capped_before_its_tableau(self, tmp_path, capsys, monkeypatch,
+                                                     theory):
+        class Solved(Exception):
+            pass
+
+        def no_solve(*args):
+            raise Solved
+
+        monkeypatch.setattr(lp, "_phase1", no_solve)
+
+        def run_at(n, k):
+            # (e_1, u_n) reaches (u_k, u_k), and e_1 reaches u_k, so reach
+            # asks the LP for a witness
+            point, u_n, u_k = [1.0] + [0.0] * (n - 1), [1 / n] * n, [1 / k] * k
+            source, target = {"rand_uniform": (point, u_k),
+                              "cdistinguish": ([point, u_n], [u_k, u_k])}[theory]
+            return run_main(tmp_path, {"command": "reach", "theory": theory,
+                                       "source": source, "target": target})
+
+        assert 41 * 25 == lp.LP_VARIABLES_CAP + 1
+        assert run_at(41, 25) == (2, "")
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert f"cap of {lp.LP_VARIABLES_CAP}" in err
+        # at the cap the system is built and handed to the simplex
+        with pytest.raises(Solved):
+            run_at(64, lp.LP_VARIABLES_CAP // 64)
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("source", ["file", "stdin"])

@@ -9,13 +9,12 @@ from conftest import grid_dists, nudged, sparse_dist
 from kanext import lp
 from kanext.lp import (
     FEAS_TOL,
-    LpFeasibility,
+    LP_VARIABLES_CAP,
     SizeLimitError,
     exists_deterministic_map,
     exists_joint_stochastic_map,
     exists_uniform_map,
     joint_map_mask,
-    solve_feasibility,
     uniform_map_mask,
 )
 from kanext.prob import (
@@ -45,47 +44,46 @@ def brute_force_deterministic(p: Dist, q: Dist) -> bool:
     return False
 
 
+def solve(a, b) -> np.ndarray | None:
+    """``lp._solve`` on a hand-written system."""
+    return lp._solve(np.atleast_2d(np.asarray(a, dtype=float)), np.asarray(b, dtype=float))
+
+
 class TestSolveFeasibility:
     def test_single_variable_feasible(self):
-        res = solve_feasibility(LpFeasibility([[1.0]], [1.0]))
-        assert res.feasible
-        assert res.witness[0] == pytest.approx(1.0, abs=1e-12)
+        x = solve([[1.0]], [1.0])
+        assert x is not None
+        assert x[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_single_variable_infeasible(self):
-        res = solve_feasibility(LpFeasibility([[1.0]], [-1.0]))
-        assert not res.feasible
-        assert res.witness is None
+        assert solve([[1.0]], [-1.0]) is None
 
     def test_two_by_two_system(self):
-        res = solve_feasibility(LpFeasibility([[1, 1], [1, -1]], [1, 0]))
-        assert res.feasible
-        assert np.allclose(res.witness, [0.5, 0.5], atol=1e-12)
+        x = solve([[1, 1], [1, -1]], [1, 0])
+        assert x is not None
+        assert np.allclose(x, [0.5, 0.5], atol=1e-12)
 
     def test_redundant_constraints(self):
-        res = solve_feasibility(LpFeasibility([[1, 1], [2, 2]], [1, 2]))
-        assert res.feasible
+        assert solve([[1, 1], [2, 2]], [1, 2]) is not None
 
     def test_zero_row_with_zero_rhs_is_harmless(self):
-        res = solve_feasibility(LpFeasibility([[1, 1], [0, 0]], [1, 0]))
-        assert res.feasible
+        assert solve([[1, 1], [0, 0]], [1, 0]) is not None
 
     def test_zero_row_with_nonzero_rhs_is_infeasible(self):
-        res = solve_feasibility(LpFeasibility([[1, 1], [0, 0]], [1, 0.5]))
-        assert not res.feasible
+        assert solve([[1, 1], [0, 0]], [1, 0.5]) is None
 
     def test_inconsistent_duplicate_rows(self):
-        res = solve_feasibility(LpFeasibility([[1, 1], [1, 1]], [1, 2]))
-        assert not res.feasible
+        assert solve([[1, 1], [1, 1]], [1, 2]) is None
 
     def test_witness_satisfies_constraints(self, rng):
         for _ in range(50):
             m, n = int(rng.integers(1, 6)), int(rng.integers(1, 8))
             a = rng.normal(size=(m, n))
             x0 = rng.uniform(0, 1, size=n)
-            res = solve_feasibility(LpFeasibility(a, a @ x0))
-            assert res.feasible
-            assert np.all(res.witness >= 0)
-            assert np.max(np.abs(a @ res.witness - a @ x0)) <= FEAS_TOL
+            x = solve(a, a @ x0)
+            assert x is not None
+            assert np.all(x >= 0)
+            assert np.max(np.abs(a @ x - a @ x0)) <= FEAS_TOL
 
     def test_agrees_with_scipy(self, rng):
         linprog = pytest.importorskip("scipy.optimize").linprog
@@ -96,7 +94,7 @@ class TestSolveFeasibility:
                 b = a @ rng.uniform(0, 1, size=n)  # feasible by construction
             else:
                 b = rng.normal(size=m)
-            ours = solve_feasibility(LpFeasibility(a, b)).feasible
+            ours = solve(a, b) is not None
             ref = linprog(np.zeros(n), A_eq=a, b_eq=b, bounds=(0, None)).status == 0
             assert ours == ref
 
@@ -104,39 +102,35 @@ class TestSolveFeasibility:
 class TestExistsUniformMap:
     def test_identity_case(self):
         p = Dist([0.3, 0.7])
-        res = exists_uniform_map(p, p)
-        assert res.feasible
+        assert exists_uniform_map(p, p) is not None
 
     def test_toward_uniform(self):
-        res = exists_uniform_map(Dist([0.7, 0.3]), Dist([0.5, 0.5]))
-        assert res.feasible
+        assert exists_uniform_map(Dist([0.7, 0.3]), Dist([0.5, 0.5])) is not None
 
     def test_away_from_uniform_infeasible(self):
         p, q = Dist([0.5, 0.5]), Dist([0.7, 0.3])
         res = exists_uniform_map(p, q)
-        assert not res.feasible
-        assert majorizes(p, q) == res.feasible
+        assert res is None
+        assert majorizes(p, q) == (res is not None)
 
     def test_witness_is_uniform_and_correct(self, rng):
         for _ in range(40):
             n = int(rng.integers(2, 5))
             p = Dist(rng.dirichlet(np.ones(n)))
             q = Dist(rng.dirichlet(np.ones(n)))
-            res = exists_uniform_map(p, q)
-            if res.feasible:
-                w = res.witness
+            w = exists_uniform_map(p, q)
+            if w is not None:
                 assert isinstance(w, StochMatrix)
                 assert is_uniform_matrix(w)
                 assert np.max(np.abs(apply(p, w).weights - q.weights)) <= FEAS_TOL
 
     def test_rectangular_shapes(self):
         # merging two outcomes into one is uniform: the single column sums to 2
-        res = exists_uniform_map(Dist([0.5, 0.5]), Dist([1.0]))
-        assert res.feasible
+        assert exists_uniform_map(Dist([0.5, 0.5]), Dist([1.0])) is not None
         # splitting a point mass cannot preserve uniformity unless the target
         # is uniform
-        assert exists_uniform_map(Dist([1.0]), Dist([0.5, 0.5])).feasible
-        assert not exists_uniform_map(Dist([1.0]), Dist([0.7, 0.3])).feasible
+        assert exists_uniform_map(Dist([1.0]), Dist([0.5, 0.5])) is not None
+        assert exists_uniform_map(Dist([1.0]), Dist([0.7, 0.3])) is None
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_agrees_with_majorization_on_sampled_grid(self, n, rng):
@@ -144,7 +138,7 @@ class TestExistsUniformMap:
         idx = rng.integers(0, len(grid), size=(150, 2))
         for i, j in idx:
             p, q = grid[i], grid[j]
-            assert exists_uniform_map(p, q).feasible == majorizes(p, q)
+            assert (exists_uniform_map(p, q) is not None) == majorizes(p, q)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_agrees_with_majorization_larger_lengths(self, n, rng):
@@ -152,23 +146,23 @@ class TestExistsUniformMap:
         idx = rng.integers(0, len(grid), size=(150, 2))
         for i, j in idx:
             p, q = grid[i], grid[j]
-            assert exists_uniform_map(p, q).feasible == majorizes(p, q)
+            assert (exists_uniform_map(p, q) is not None) == majorizes(p, q)
 
 
 class TestExistsJointStochasticMap:
     def test_identity_target(self):
         pair = (Dist([0.9, 0.1]), Dist([0.2, 0.8]))
-        assert exists_joint_stochastic_map(pair, pair).feasible
+        assert exists_joint_stochastic_map(pair, pair) is not None
 
     def test_collapse_to_uniform_pair(self):
         pair = (Dist([0.9, 0.1]), Dist([0.2, 0.8]))
         u = Dist.uniform(3)
-        assert exists_joint_stochastic_map(pair, (u, u)).feasible
+        assert exists_joint_stochastic_map(pair, (u, u)) is not None
 
     def test_full_support_cannot_split(self):
         pair = (Dist([0.9, 0.1]), Dist([0.1, 0.9]))
         target = (Dist([1, 0]), Dist([0, 1]))
-        assert not exists_joint_stochastic_map(pair, target).feasible
+        assert exists_joint_stochastic_map(pair, target) is None
 
     def test_witness_carries_both_components(self, rng):
         for _ in range(30):
@@ -177,9 +171,8 @@ class TestExistsJointStochasticMap:
             q = Dist(rng.dirichlet(np.ones(n)))
             m = random_stochastic(rng, n, k)
             target = (apply(p, m), apply(q, m))
-            res = exists_joint_stochastic_map((p, q), target)
-            assert res.feasible
-            w = res.witness
+            w = exists_joint_stochastic_map((p, q), target)
+            assert w is not None
             assert np.max(np.abs(apply(p, w).weights - target[0].weights)) <= FEAS_TOL
             assert np.max(np.abs(apply(q, w).weights - target[1].weights)) <= FEAS_TOL
 
@@ -190,7 +183,7 @@ class TestExistsJointStochasticMap:
             q = Dist(rng.dirichlet(np.ones(n)))
             m = random_stochastic(rng, n, int(rng.integers(2, 4)))
             p2, q2 = apply(p, m), apply(q, m)
-            if exists_joint_stochastic_map((p, q), (p2, q2)).feasible:
+            if exists_joint_stochastic_map((p, q), (p2, q2)) is not None:
                 assert kl_divergence(p2, q2) <= kl_divergence(p, q) + 1e-9
 
 
@@ -220,7 +213,7 @@ class TestRelativelyMajorizesAgreesWithLp:
             else:
                 p2, q2 = draw(rng, k), draw(rng, k)
             pair, target = (Dist(p), Dist(q)), (Dist(p2), Dist(q2))
-            lp_says = exists_joint_stochastic_map(pair, target).feasible
+            lp_says = exists_joint_stochastic_map(pair, target) is not None
             assert relatively_majorizes(pair, target) == lp_says, (p, q, p2, q2)
             assert joint_map_mask(*(d.weights for d in pair + target)) == lp_says
             verdicts.append(lp_says)
@@ -238,7 +231,7 @@ class TestRelativelyMajorizesAgreesWithLp:
             else:
                 q = sparse_dist(rng, k) if i % 5 == 0 else rng.dirichlet(np.ones(k))
             p, q = Dist(p), Dist(q)
-            lp_says = exists_uniform_map(p, q).feasible
+            lp_says = exists_uniform_map(p, q) is not None
             closed = relatively_majorizes((p, Dist.uniform(n)), (q, Dist.uniform(k)))
             assert closed == lp_says == rand_uniform_oracle(p, q).reachable, (p, q)
             assert uniform_map_mask(p.weights, q.weights) == lp_says
@@ -251,7 +244,7 @@ class TestRelativelyMajorizesAgreesWithLp:
                 for q in grid_dists(k, 0.25):
                     assert (
                         rand_uniform_oracle(p, q).reachable
-                        == exists_uniform_map(p, q).feasible
+                        == (exists_uniform_map(p, q) is not None)
                     ), (p, q)
 
 
@@ -309,7 +302,7 @@ class TestRelativeMajorizationMaskAgreesWithLp:
                 pair = (Dist(p[i]), Dist(q[i]))
                 for forward, mask in masks.items():
                     source, image = (target, pair) if forward else (pair, target)
-                    lp_says = exists_joint_stochastic_map(source, image).feasible
+                    lp_says = exists_joint_stochastic_map(source, image) is not None
                     assert mask[i] == relatively_majorizes(source, image) == lp_says, (n, k, i)
                     assert lp_masks[forward][i] == lp_says, (n, k, i)
                     verdicts[forward].append(lp_says)
@@ -330,7 +323,7 @@ class TestRelativeMajorizationMaskAgreesWithLp:
                 a, b = Dist(p2), Dist(p[i])
                 for forward, mask in masks.items():
                     source, image = (a, b) if forward else (b, a)
-                    lp_says = exists_uniform_map(source, image).feasible
+                    lp_says = exists_uniform_map(source, image) is not None
                     pairs = (source, Dist.uniform(len(source))), (image, Dist.uniform(len(image)))
                     assert mask[i] == relatively_majorizes(*pairs) == lp_says, (n, k, i)
                     assert lp_masks[forward][i] == lp_says, (n, k, i)
@@ -347,7 +340,7 @@ class TestBatchedSimplex:
         w = simplex_grid(3, 0.1)  # 66 points, 4,356 ordered pairs
         grid = [Dist.of_row(row) for row in w]
         mask = uniform_map_mask(w[:, None], w[None, :])
-        per_pair = [[exists_uniform_map(p, q).feasible for q in grid] for p in grid]
+        per_pair = [[(exists_uniform_map(p, q) is not None) for q in grid] for p in grid]
         assert np.array_equal(mask, per_pair)
         assert 0.1 < mask.mean() < 0.9
 
@@ -357,7 +350,7 @@ class TestBatchedSimplex:
         r = Dist([0.5, 0.3, 0.2])
         mask = joint_map_mask(w[:, None], r.weights, w[None, :], r.weights)
         per_pair = [
-            [exists_joint_stochastic_map((p, r), (q, r)).feasible for q in grid]
+            [(exists_joint_stochastic_map((p, r), (q, r)) is not None) for q in grid]
             for p in grid
         ]
         assert np.array_equal(mask, per_pair)
@@ -383,7 +376,9 @@ class TestBatchedSimplex:
             images.append(image)
             pairs.append(pair)
         p2, q2 = (np.array(side) for side in zip(*pairs))
-        return [lp._uniform_system(p, np.array(images)), lp._joint_system(p, q, p2, q2)]
+        uniform = lp._joint_system(np.ones((rows, n)), p, np.full((rows, k), n / k),
+                                   np.array(images))
+        return [uniform, lp._joint_system(p, q, p2, q2)]
 
     def test_row_alone_or_in_a_shuffled_batch(self, rng):
         for a, b in self.systems(rng):
@@ -397,13 +392,13 @@ class TestBatchedSimplex:
                 for whole, row in ((together, i), (shuffled, at)):
                     for got, want in zip(whole, alone):
                         assert np.array_equal(got[row], want[0]), i
-                # the witness solve_feasibility reports is built from the same basis
-                res = solve_feasibility(LpFeasibility(a[i], b[i]))
-                assert res.feasible == alone[0][0]
-                if res.feasible:
+                # the witness _solve reports is built from the same basis
+                x_alone = lp._solve(a[i], b[i])
+                assert (x_alone is not None) == alone[0][0]
+                if x_alone is not None:
                     x = np.zeros(a.shape[2] + a.shape[1])
                     x[alone[1][0]] = np.maximum(alone[2][0], 0.0)
-                    assert np.array_equal(res.witness, x[:a.shape[2]])
+                    assert np.array_equal(x_alone, x[:a.shape[2]])
 
     def test_chunks_do_not_change_verdicts(self, monkeypatch):
         w = simplex_grid(3, 0.25)
@@ -420,28 +415,31 @@ class TestBatchedSimplex:
         assert uniform_map_mask(np.array([0.7, 0.3]), np.array([0.5, 0.5])).shape == ()
         with pytest.raises(DimensionMismatch):
             joint_map_mask(np.full(2, 0.5), np.full(3, 1 / 3), np.ones(1), np.ones(1))
+        n, k = 33, LP_VARIABLES_CAP // 32  # one source outcome over the cap
+        with pytest.raises(SizeLimitError, match=f"cap of {LP_VARIABLES_CAP}"):
+            uniform_map_mask(np.full(n, 1 / n), np.full(k, 1 / k))
 
 
 class TestExistsDeterministicMap:
     def test_merge_everything(self, rng):
         p = Dist(rng.dirichlet(np.ones(5)))
         res = exists_deterministic_map(p, Dist([1.0]))
-        assert res.feasible
-        assert is_deterministic(res.witness)
+        assert res is not None
+        assert is_deterministic(res)
 
     def test_identity_or_swap(self):
         res = exists_deterministic_map(Dist([0.5, 0.5]), Dist([0.5, 0.5]))
-        assert res.feasible
+        assert res is not None
 
     def test_unachievable_split(self):
         p, q = Dist([0.5, 0.5]), Dist([0.7, 0.3])
-        assert not exists_deterministic_map(p, q).feasible
+        assert exists_deterministic_map(p, q) is None
         assert not brute_force_deterministic(p, q)
 
     def test_zero_target_entries_get_empty_preimages(self):
         res = exists_deterministic_map(Dist([0.5, 0.5, 0.0]), Dist([1.0, 0.0]))
-        assert res.feasible
-        assert np.all(res.witness.entries[:, 1] == 0.0)
+        assert res is not None
+        assert np.all(res.entries[:, 1] == 0.0)
 
     def test_agrees_with_brute_force(self, rng):
         grids = {n: grid_dists(n, 0.05) for n in range(1, 6)}
@@ -458,10 +456,10 @@ class TestExistsDeterministicMap:
                     img[j] += p.weights[i]
                 q = Dist(img)
             res = exists_deterministic_map(p, q)
-            assert res.feasible == brute_force_deterministic(p, q)
-            if res.feasible:
-                assert is_deterministic(res.witness)
-                assert np.max(np.abs(apply(p, res.witness).weights - q.weights)) <= 1e-9
+            assert (res is not None) == brute_force_deterministic(p, q)
+            if res is not None:
+                assert is_deterministic(res)
+                assert np.max(np.abs(apply(p, res).weights - q.weights)) <= 1e-9
 
     def test_entropy_never_increases_when_feasible(self, rng):
         for _ in range(40):
@@ -473,7 +471,7 @@ class TestExistsDeterministicMap:
             for i, j in enumerate(f):
                 img[j] += p.weights[i]
             q = Dist(img)
-            if exists_deterministic_map(p, q).feasible:
+            if exists_deterministic_map(p, q) is not None:
                 assert shannon_entropy(p) >= shannon_entropy(q) - 1e-10
 
     def test_size_cap(self):
@@ -485,7 +483,7 @@ class TestExistsDeterministicMap:
         start = time.perf_counter()
         res = exists_deterministic_map(Dist.uniform(12), Dist.uniform(k))
         assert time.perf_counter() - start < 1.0
-        assert res.feasible == feasible
+        assert (res is not None) == feasible
 
     def test_agrees_with_undeduplicated_search(self, rng):
         grids = {n: simplex_grid(n, 0.1) for n in range(1, 7)}
@@ -508,14 +506,14 @@ class TestExistsDeterministicMap:
             p, q = Dist(p), Dist(q)
             res = exists_deterministic_map(p, q)
             want = undeduplicated_deterministic_map(p, q)
-            assert res.feasible == (want is not None), (p, q)
+            assert (res is not None) == (want is not None), (p, q)
             if want is not None:
-                assert np.array_equal(res.witness.entries, want.entries), (p, q)
-            verdicts.append(res.feasible)
+                assert np.array_equal(res.entries, want.entries), (p, q)
+            verdicts.append(res is not None)
         assert 0.3 < np.mean(verdicts) < 0.9
         # an entry of q within the tolerance needs no outcome of its own
         p, q = Dist([1.0]), Dist([1 - 1e-12, 1e-12])
-        assert exists_deterministic_map(p, q).feasible
+        assert exists_deterministic_map(p, q) is not None
         assert undeduplicated_deterministic_map(p, q) is not None
 
     def test_equal_entries_of_q_agree_with_undeduplicated_search(self, rng):
@@ -529,13 +527,13 @@ class TestExistsDeterministicMap:
             p = rng.permutation(np.concatenate([np.diff([0, *c, 12]) for c in cuts]))
             p, q = Dist(p / p.sum()), Dist.uniform(k)
             res = exists_deterministic_map(p, q)
-            assert res.feasible, (p, q)
-            assert np.array_equal(res.witness.entries,
+            assert res is not None, (p, q)
+            assert np.array_equal(res.entries,
                                   undeduplicated_deterministic_map(p, q).entries), (p, q)
 
     def test_more_entries_in_q_than_outcomes_is_refused_without_search(self, monkeypatch):
         monkeypatch.setattr(lp, "DETERMINISTIC_NODE_BUDGET", 0)
-        assert not exists_deterministic_map(Dist([0.5, 0.5, 0.0]), Dist([0.4, 0.3, 0.3])).feasible
+        assert exists_deterministic_map(Dist([0.5, 0.5, 0.0]), Dist([0.4, 0.3, 0.3])) is None
         with pytest.raises(SizeLimitError):
             exists_deterministic_map(Dist([0.5, 0.5]), Dist([1.0]))
 
@@ -543,7 +541,7 @@ class TestExistsDeterministicMap:
         # twelve distinct weights into two near halves: no split is exact
         p = Dist(np.arange(1, 13) / 78)
         q = Dist([0.5 + 1e-3, 0.5 - 1e-3])
-        assert not exists_deterministic_map(p, q).feasible
+        assert exists_deterministic_map(p, q) is None
         monkeypatch.setattr(lp, "DETERMINISTIC_NODE_BUDGET", 100)
         with pytest.raises(SizeLimitError, match="100 nodes"):
             exists_deterministic_map(p, q)

@@ -117,7 +117,7 @@ class TestRandUniformOracle:
             for q in grid:
                 assert (
                     rand_uniform_oracle(p, q).reachable
-                    == exists_uniform_map(p, q).feasible
+                    == (exists_uniform_map(p, q) is not None)
                 )
 
 
@@ -228,15 +228,16 @@ class TestClosedFormSweeps:
     def test_extend_solves_no_lp(self, monkeypatch, rng, theory):
         calls = []
 
-        def counting(problem):
-            calls.append(problem)
-            return original(problem)
+        def counting(a, b):
+            calls.append(a.shape)
+            return original(a, b)
 
-        # patch every module binding, so that a direct caller is counted too
-        original = lp.solve_feasibility
+        # patch every module binding of the simplex, so that one-system
+        # solves and batched masks are both counted
+        original = lp._phase1
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "kanext" and hasattr(module, "solve_feasibility"):
-                monkeypatch.setattr(module, "solve_feasibility", counting)
+            if name.split(".")[0] == "kanext" and hasattr(module, "_phase1"):
+                monkeypatch.setattr(module, "_phase1", counting)
         if theory == RAND_UNIFORM:
             y = Dist(rng.dirichlet(np.ones(3)))
             candidates = grid_dists(4, 0.25)
