@@ -587,10 +587,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.config == "-":
-            cfg = json.load(sys.stdin, parse_constant=_refuse_constant)
+            cfg = _load_config(sys.stdin)
         else:
             with open(args.config) as fh:
-                cfg = json.load(fh, parse_constant=_refuse_constant)
+                cfg = _load_config(fh)
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
         if args.seed is not None:
@@ -610,6 +610,15 @@ def main(argv: list[str] | None = None) -> int:
         print("error: stdout was closed before the output was written", file=sys.stderr)
         return EXIT_USAGE
     return code
+
+
+def _load_config(fh) -> object:
+    """The JSON document in ``fh``; one nested too deeply for the parser's
+    recursion is a ConfigError, as is a NaN or an infinity."""
+    try:
+        return json.load(fh, parse_constant=_refuse_constant)
+    except RecursionError:
+        raise ConfigError("config is nested too deeply to parse") from None
 
 
 def _refuse_constant(name: str):

@@ -18,7 +18,8 @@ The four rows collapse to one boolean per side,
 (inf or sup), the empty value (inf or 0), the side of the competitor
 hypothesis in the optimality check and the direction of the universal
 property (a competitor G satisfies G <= ext iff ``takes_inf``).
-``extension`` computes both sides in one sweep over the candidates.
+``extension`` decides both sides' candidates in one sweep, as two masks,
+and takes every side's bound by one rule, however the masks were decided.
 ``verify_optimality`` checks that property on a finite target theory in
 closed form: on each side one extreme competitor bounds every other, so it
 is the only one compared, and no competitor is enumerated.
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -72,7 +73,7 @@ class FunctorMap:
     or q as one length-n row that every image shares, without building the
     images (views of a ``pcat.DistRows`` family's own matrices where it
     can); or to None unless those keys have one length.  Where the
-    target's key names an ``identity``, the image keys are written in its
+    target's key is marked ``identity``, the image keys are written in its
     fixed basis.
     """
 
@@ -108,8 +109,12 @@ class ExtensionProblem:
 
 @dataclass(frozen=True)
 class ExtensionResult:
+    """One side of an extension: its value, the first admitted candidate
+    that attains it (None where no candidate is admitted), the number of
+    candidates examined, and whether the value is exact."""
+
     value: ExtValue
-    witness: tuple[ResourceRef, Any] | None
+    witness: ResourceRef | None
     examined: int
     exact: bool
 
@@ -120,7 +125,7 @@ class ExtensionResult:
             "exact": self.exact,
         }
         if self.witness is not None:
-            doc["witness"] = self.witness[0].describe()
+            doc["witness"] = self.witness.describe()
         return doc
 
 
@@ -142,65 +147,35 @@ def _keys(prob: ExtensionProblem, y: ResourceRef) -> tuple[Dichotomy, Dichotomy]
     return target, Dichotomy(p, q, across_lengths=target.across_lengths)
 
 
-# (value, witness, exact) of one side of an extension
-_Side = tuple[ExtValue, Any, bool]
-
-
-def _keyed(prob: ExtensionProblem, keys, takes_inf) -> list[_Side]:
-    """(value, witness, exact) per side from two masks: y -> K(X) admits a
-    candidate on the minimal side, K(X) -> y on the maximal one.  An image
-    whose key agrees with y's within IDENTITY_TOL is admitted on both with
-    y's ``identity`` witness.  The monotone is evaluated once, on the
-    candidates some side admits; each side takes the first admissible
-    candidate that attains its bound, and is exact where y's key
-    ``certifies`` its mask."""
+def _keyed(prob: ExtensionProblem, keys) -> tuple[list[np.ndarray], list[bool]]:
+    """The two masks from y's key against the image keys, y -> K(X) for
+    the minimal side and K(X) -> y for the maximal one, and each mask's
+    exact flag, where y's key ``certifies`` it.  Where y's key is written
+    in one fixed basis (``identity``), an image whose key agrees with it
+    within IDENTITY_TOL is y itself and is admitted both ways."""
     target, images = keys
-    admits = [target.reaches(images), images.reaches(target)]
-    same = np.zeros(len(images.p), bool)
-    if target.identity is not None and images.p.shape[-1] == len(target.p):
+    masks = [target.reaches(images), images.reaches(target)]
+    if target.identity and images.p.shape[-1] == len(target.p):
         same = np.all(np.abs(images.p - target.p) <= IDENTITY_TOL, axis=-1) & np.all(
             np.abs(images.q - target.q) <= IDENTITY_TOL, axis=-1
         )
-        admits = [mask | same for mask in admits]
-    index = np.flatnonzero(admits[0] | admits[1])
-    values = prob.monotone.values(prob.candidates, index)
-    sides = []
-    for mask, inf in zip(admits, takes_inf):
-        exact = target.certifies(images, mask, prob.target_oracle.exact)
-        side = np.flatnonzero(mask[index])
-        if not side.size:
-            sides.append((INF if inf else 0.0, None, exact))
-            continue
-        # argmin and argmax return the first position that attains the bound
-        at = side[(np.argmin if inf else np.argmax)(values[side])]
-        i = int(index[at])
-        witness = (prob.candidates[i], target.identity if same[i] else None)
-        sides.append((float(values[at]), witness, exact))
-    return sides
+        masks = [mask | same for mask in masks]
+    return masks, [target.certifies(images, m, prob.target_oracle.exact) for m in masks]
 
 
-def _per_pair(prob: ExtensionProblem, y: ResourceRef, takes_inf) -> list[_Side]:
-    """(value, witness, exact) per side with each candidate mapped once and
-    each pair handed to the oracle: the monotone is evaluated at most once
-    per candidate, where some side admits it, and each side keeps the
-    first candidate that attains its bound."""
+def _per_pair(prob: ExtensionProblem, y: ResourceRef) -> tuple[np.ndarray, list[bool]]:
+    """The same two masks and exact flags with each candidate mapped once
+    and each pair handed to the oracle, once per direction; a side is exact
+    where all its decisions are."""
     decide = prob.target_oracle.decide
-    best = [(INF if inf else 0.0, None) for inf in takes_inf]
-    exact = [True, True]
+    masks, exact = ([], []), [True, True]
     for x in prob.candidates:
         image = prob.functor.map_object(x)
-        value = None
         for side, d in enumerate((decide(y, image), decide(image, y))):
+            masks[side].append(d.reachable)
             if not d.exact:
                 exact[side] = False
-            if not d.reachable:
-                continue
-            if value is None:
-                value = prob.monotone.evaluate(x)
-            bound, witness = best[side]
-            if witness is None or (value < bound if takes_inf[side] else value > bound):
-                best[side] = (value, (x, d.witness))
-    return [(v, w, ok) for (v, w), ok in zip(best, exact)]
+    return np.array(masks, bool), exact
 
 
 def extension(
@@ -208,32 +183,38 @@ def extension(
 ) -> tuple[ExtensionResult, ExtensionResult]:
     """Minimal and maximal extension at y, in that order, from one sweep.
 
-    The sweep decides y -> K(X) for the minimal side and K(X) -> y for the
-    maximal side and computes a monotone value at most once per candidate,
-    only where one side admits it.  Each side's witness is the first
-    candidate that attains its bound, even where that is the empty bound,
-    and its exact flag covers its own decisions only.
-
-    When the target oracle has a ``key`` for y and the functor a
-    ``map_key`` for the candidates, and the image keys have one length, no
-    image is built and no pair is handed to the oracle: all decisions come
-    from two relative-majorization masks of y's dichotomy key against the
-    (N, n) image keys, one per direction, by the oracle's own rule
-    (``pcat.keyed_decision``), and the monotone is evaluated on the
-    admissible candidates at once (``MonotoneSpec.values``).  Where y's key names an ``identity``
-    witness, an image whose key agrees with y's within IDENTITY_TOL is y
-    itself and takes that witness both ways.  Otherwise, as for mixed
-    lengths, targets without a key and theories without keys, each
-    candidate is mapped once and the oracle decides each pair.
+    The sweep builds two masks over the candidates: y -> K(X) admits X on
+    the minimal side, K(X) -> y on the maximal side.  Where the oracle has a
+    ``key`` for y, the functor a ``map_key`` for the candidates and the
+    image keys have one length, no image is built and the masks compare
+    the keys by the oracle's own rule (``_keyed``); otherwise each
+    candidate is mapped once and the oracle decides each pair both ways
+    (``_per_pair``).  Then the monotone is evaluated once, on the
+    candidates some side admits (``MonotoneSpec.values``), and each side
+    takes the inf or sup of its admitted values, with the first candidate
+    that attains it as its witness, even where that is the empty bound.  A
+    side that admits nothing takes the empty constant and no witness.  Each
+    side's exact flag covers its own decisions only.
     """
-    covariant = prob.monotone.variance == COVARIANT
-    takes_inf = (covariant, not covariant)
     keys = _keys(prob, y)
-    sides = _per_pair(prob, y, takes_inf) if keys is None else _keyed(prob, keys, takes_inf)
-    n = len(prob.candidates)
-    lo, hi = (
-        ExtensionResult(v, w, n, ok and prob.candidates_complete) for v, w, ok in sides
-    )
+    masks, exact = _per_pair(prob, y) if keys is None else _keyed(prob, keys)
+    admitted = masks[0] | masks[1]
+    values = np.empty(len(admitted))
+    values[admitted] = prob.monotone.values(prob.candidates, admitted.nonzero()[0])
+    covariant = prob.monotone.variance == COVARIANT
+    sides = []
+    for mask, takes_inf, ok in zip(masks, (covariant, not covariant), exact):
+        value, witness = INF if takes_inf else 0.0, None
+        side = mask.nonzero()[0]
+        if side.size:
+            bounds = values[side]
+            # argmin and argmax return the first position that attains the bound
+            at = bounds.argmin() if takes_inf else bounds.argmax()
+            value, witness = float(bounds[at]), prob.candidates[int(side[at])]
+        sides.append(
+            ExtensionResult(value, witness, len(prob.candidates), ok and prob.candidates_complete)
+        )
+    lo, hi = sides
     return lo, hi
 
 

@@ -79,16 +79,16 @@ class Dichotomy(NamedTuple):
     (N, n) arrays for a batch of keys.  One key reaches another where one
     stochastic matrix carries its p and q to the other's (Blackwell 1953).
 
-    ``identity``, where given, is the witness ``decide`` reports between
-    two objects whose keys both name it and agree entry by entry within
-    IDENTITY_TOL; such keys are written in one fixed basis, so that
-    agreement means the objects are one.  ``across_lengths`` is False where
-    keys of unequal lengths do not decide reachability exactly.
+    ``identity`` says that the key is written in one fixed basis, so that
+    two such keys that agree entry by entry within IDENTITY_TOL belong to
+    one object, which reaches itself by the identity arrow.
+    ``across_lengths`` is False where keys of unequal lengths do not decide
+    reachability exactly.
     """
 
     p: np.ndarray
     q: np.ndarray
-    identity: Any = None
+    identity: bool = False
     across_lengths: bool = True
 
     def reaches(self, other: "Dichotomy") -> np.ndarray:
@@ -125,7 +125,7 @@ class ReachabilityOracle:
     ``key``, where given, maps an object to its ``Dichotomy``, or to None
     where it has none.  Where a and b both have keys, ``decide(a, b)`` is
     ``keyed_decision`` on them, save that a positive between objects that
-    are one may carry the keys' ``identity`` witness.  The extension sweep
+    are one may carry a witness of the oracle's own.  The extension sweep
     applies the same rule to all candidates at once.
     """
 

@@ -176,8 +176,8 @@ def _density_pair_key(
     """Both states measured in a joint eigenbasis, or None unless they
     commute.  With ``fixed_basis``, a pair diagonal to within IDENTITY_TOL
     is measured in the standard basis instead, where keys that agree mean
-    equal pairs: then the key names the identity witness, as the oracle's
-    shortcut does."""
+    equal pairs: then the key is marked ``identity``, and the sweep admits
+    such pairs both ways, as the oracle's shortcut does."""
     rho, sigma = pair
     basis = _common_eigenbasis(rho.entries, sigma.entries)
     if basis is None:
@@ -188,7 +188,7 @@ def _density_pair_key(
     if diagonal:
         basis = np.eye(rho.dim)
     p, q = basis_outcomes(rho, basis), basis_outcomes(sigma, basis)
-    return Dichotomy(p.weights, q.weights, IDENTITY_WITNESS if diagonal else None)
+    return Dichotomy(p.weights, q.weights, diagonal)
 
 
 def distinguish_restricted_oracle(

@@ -565,6 +565,18 @@ class TestUsageErrors:
         with redirect_stdout(io.StringIO()):
             assert cli.main(["--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys, monkeypatch, via):
+        # the parser recurses once per bracket and runs out of stack
+        text = "[" * 100_000 + "]" * 100_000
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert cli.main(["--config", str(path) if via == "file" else "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_error_line(err)
+
     def test_bad_object(self, tmp_path):
         code, _ = run_main(tmp_path, {
             "command": "reach",

@@ -48,6 +48,7 @@ from kanext.theories import (
     DISTINGUISH_RESTRICTED,
     PUREBIP_LOCC,
     QRAND_QUNIFORM,
+    RAND_DETMN,
     RAND_UNIFORM,
     classical_to_quantum_functor,
     classical_to_quantum_pair_functor,
@@ -106,7 +107,7 @@ def witness_index(prob, result):
     found as the first row with its weights."""
     if result.witness is None:
         return None
-    x = result.witness[0]
+    x = result.witness
     if not isinstance(prob.candidates, DistRows):
         return next(i for i, c in enumerate(prob.candidates) if c is x)
     parts = x.payload if isinstance(x.payload, tuple) else (x.payload,)
@@ -221,7 +222,7 @@ class TestClassicalExtensions:
         res = extension(prob, y)[0]
         # reachable from y: (0.75, 0.25) itself and uniform; inf of entropies
         assert res.value == pytest.approx(shannon_entropy(Dist([0.75, 0.25])))
-        assert res.witness[0].payload.weights.tolist() == [0.75, 0.25]
+        assert res.witness.payload.weights.tolist() == [0.75, 0.25]
 
     def test_witness_is_first_attaining_candidate(self):
         twin_a = Dist([0.7, 0.3])
@@ -229,7 +230,7 @@ class TestClassicalExtensions:
         prob = shannon_problem(COVARIANT, [twin_a, twin_b])
         y = ResourceRef(RAND_UNIFORM, Dist([0.7, 0.3]))
         res = extension(prob, y)[0]
-        assert res.witness[0].payload is twin_a
+        assert res.witness.payload is twin_a
 
 
 class TestQuantumExtensions:
@@ -414,8 +415,7 @@ class TestKeyedSweep:
                 for a, b in zip(extension(fast, y), extension(slow, y)):
                     assert (a.value, a.exact, a.examined) == (b.value, b.exact, b.examined)
                     assert witness_index(prob, a) == witness_index(prob, b)
-                    if a.witness is not None:
-                        assert a.witness[1] == b.witness[1]
+                    assert a.to_json() == b.to_json()
             assert len(slow_calls) == 2 * len(prob.candidates) * len(targets)
             assert len(fast_calls) == (0 if keyed else len(slow_calls))
 
@@ -491,12 +491,16 @@ class TestKeyedSweep:
             targets += [embedded_pair(pairs[i]) for i in (0, 5, 6)]
         self.check(prob, targets)
 
-    def test_identity_shortcut_carries_its_witness(self, rng):
+    def test_target_image_is_admitted_both_ways_as_the_witness_without_a_decision(self, rng):
         _, pairs = pair_family(rng, 10, 3, 3)
         prob = kl_problem(classical_to_quantum_pair_functor(), DISTINGUISH_RESTRICTED, pairs[4:5])
         prob, decided = counting_decide(prob)
-        lo, hi = extension(prob, embedded_pair(pairs[4]))
-        assert lo.witness[1] == hi.witness[1] == theories.IDENTITY_WITNESS
+        target = embedded_pair(pairs[4])
+        # the target's key is written in the standard basis, so the one
+        # candidate's image is the target itself
+        assert prob.target_oracle.key(target).identity
+        lo, hi = extension(prob, target)
+        assert lo.witness is hi.witness is prob.candidates[0]
         assert decided == []
 
     def test_negatives_of_an_inexact_oracle_clear_the_exact_flags(self, rng):
@@ -581,7 +585,7 @@ class TestKeyedSweep:
         # order is lexicographic: the first of them is p sorted ascending
         for y, p in zip(targets, np.repeat(points, 2, axis=0)):
             for side in extension(prob, y):
-                assert side.witness[0].payload.weights.tolist() == sorted(p)
+                assert side.witness.payload.weights.tolist() == sorted(p)
 
     def test_array_pairs_under_identity_and_embedding(self, rng):
         for n, k in [(4, 3), (3, 3), (2, 4)]:
@@ -595,6 +599,35 @@ class TestKeyedSweep:
             ]:
                 prob = kl_problem(functor, theory_id, [])
                 self.check(dataclasses.replace(prob, candidates=pair_rows(pairs)), targets)
+
+    def test_array_grid_per_pair_in_rand_detmn(self, rng):
+        # rand_detmn has no key, so a weight matrix runs per pair too: it
+        # values its admitted rows with the row evaluator, the object tuple
+        # with evaluate, and the two agree bit for bit
+        grid = simplex_grid(3, 0.25)
+        targets = [ResourceRef(RAND_DETMN, Dist.of_row(w)) for w in grid[::3]]
+        targets += [ResourceRef(RAND_DETMN, d) for d in grid_dists(2, 0.25)]
+        targets += [ResourceRef(RAND_DETMN, Dist(rng.dirichlet(np.ones(3))))]
+        for variance in (COVARIANT, CONTRAVARIANT):
+            objects = ExtensionProblem(
+                make_monotone("shannon", variance),
+                identity_functor(RAND_DETMN),
+                REGISTRY.oracle(RAND_DETMN),
+                tuple(ResourceRef(RAND_DETMN, d) for d in grid_dists(3, 0.25)),
+                candidates_complete=True,
+            )
+            rows, decided = counting_decide(
+                dataclasses.replace(objects, candidates=DistRows(RAND_DETMN, (grid,)))
+            )
+            witnessed = 0
+            for y in targets:
+                for a, b in zip(extension(rows, y), extension(objects, y)):
+                    assert a.value.hex() == b.value.hex()
+                    assert witness_index(rows, a) == witness_index(objects, b)
+                    assert a.exact == b.exact
+                    witnessed += a.witness is not None
+            assert len(decided) == 2 * len(grid) * len(targets)
+            assert 0 < witnessed < 2 * len(targets)
 
     def test_array_infinite_divergences_take_the_first_admissible(self):
         # candidate 0 has a finite divergence and does not reach the
