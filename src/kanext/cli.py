@@ -84,6 +84,10 @@ MAX_OBJECTS_CAP = 16
 # Longest distribution, or pair component, a payload may hold: the lengths
 # over which prob.ORDER_SLACK bounds the rounding of the order tests.
 PAYLOAD_LENGTH_CAP = 64
+# Philox keys lie below this bound.  Sample i of the coincidence check
+# measures with key seed + i, so its seed is at most the bound less the
+# sample count.
+PHILOX_KEY_BOUND = 2**128
 # Most that either extension at a state may differ from its von Neumann
 # entropy in the coincidence check.
 COINCIDENCE_TOL = 1e-6
@@ -477,7 +481,7 @@ def _verify_coincidence(cfg: dict, rng: np.random.Generator) -> dict:
         raise ConfigError("config key 'dims' must be a non-empty list")
     dims = [_number(d, "dims", at_least=1, at_most=DIMENSION_CAP) for d in dims]
     bases = _number(cfg.get("bases", 50), "bases", at_least=1, at_most=BASES_CAP)
-    seed = _number(cfg.get("seed", 0), "seed")
+    seed = _number(cfg.get("seed", 0), "seed", at_most=PHILOX_KEY_BOUND - samples)
     violations = []
     for i in range(samples):
         dim = dims[i % len(dims)]
@@ -571,7 +575,7 @@ def run(cfg: dict) -> tuple[int, dict]:
     return _COMMANDS[command](cfg)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kanext",
         description="Reachability, monotone extensions, and property checks "
@@ -583,7 +587,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="override the config seed")
     parser.add_argument("--out", default=None,
                         help="override the config output path")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# Built once per process; ``main`` only reads it.  Help and usage text are
+# still laid out when printed, at the terminal width of that moment.
+_PARSER = _build_parser()
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         if args.config == "-":

@@ -158,13 +158,20 @@ def basis_outcomes(rho: DensityMatrix, basis: np.ndarray) -> Dist:
     return Dist.of_row(outcome_rows(rho, basis[None])[0])
 
 
-def haar_basis(dim: int, seed: int, index: int) -> np.ndarray:
-    """Haar-random orthonormal basis, deterministic in (seed, index).
+def haar_bases(dim: int, seed: int, count: int) -> np.ndarray:
+    """``count`` Haar-random orthonormal bases as a (count, dim, dim) stack of
+    basis columns, basis k deterministic in (seed, k).
 
-    Counter-based Philox streams keep samples independent per index, so a
-    sweep over indices can be evaluated in any order or in parallel.
+    Basis k draws from its own counter-based Philox stream, the state of
+    ``Philox(key=seed).jumped(k)``, so it does not depend on how many bases
+    are drawn with it, and a sweep over indices can be split in any order or
+    in parallel.  One stacked QR then turns every draw into its basis.
     """
-    return random_unitary(np.random.Generator(np.random.Philox(key=seed).jumped(index)), dim)
+    draws = np.empty((count, dim, dim), dtype=complex)
+    for k in range(count):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, k, 0]))
+        draws[k] = _ginibre(rng, dim)
+    return _haar_unitaries(draws)
 
 
 def measurement_entropy_search(rho: DensityMatrix, samples: int, seed: int) -> ExtValue:
@@ -176,10 +183,8 @@ def measurement_entropy_search(rho: DensityMatrix, samples: int, seed: int) -> E
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    bases = np.stack([
-        rho.spectrum.eigenvectors,
-        *(haar_basis(rho.dim, seed, k) for k in range(samples)),
-    ])
+    spectral = rho.spectrum.eigenvectors[None]
+    bases = np.concatenate([spectral, haar_bases(rho.dim, seed, samples)])
     return float(entropy_rows(outcome_rows(rho, bases)).min())
 
 
@@ -209,14 +214,26 @@ def locc_convertible_pure(phi: BipartitePure, psi: BipartitePure) -> bool:
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     """Full-rank random state from a complex Wishart draw."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    g = _ginibre(rng, dim)
     w = g @ g.conj().T
     return DensityMatrix(w / w.trace())
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary via QR with phase correction."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r)
-    return q * (phases / np.abs(phases))
+    return _haar_unitaries(_ginibre(rng, dim))
+
+
+def _ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A dim x dim matrix of standard complex normal entries: the real
+    parts are drawn first, then the imaginary parts."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def _haar_unitaries(draws: np.ndarray) -> np.ndarray:
+    """The Q factor of each matrix in a stack of complex normal draws, each
+    column's phase fixed by the diagonal of R, which makes it Haar-distributed
+    (Mezzadri, Notices AMS 54, 2007)."""
+    q, r = np.linalg.qr(draws)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]

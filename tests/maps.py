@@ -4,7 +4,8 @@ The single-pair majorization and relative-majorization tests on
 ``Dist`` objects, pushing distributions through matrices, predicates on
 matrices, Kraus channels with the measure-and-reassign embedding of
 stochastic matrices, the partial trace, the maximally mixed state,
-projectors of pure states and the JSON encoding of complex matrices.  The
+projectors of pure states, the JSON encoding of complex matrices, and the
+one-basis-at-a-time Haar sampler that ``haar_bases`` must reproduce.  The
 CLI decides reachability without applying a map or a channel, decides
 majorization on weight arrays and reads matrices without writing them, so
 none of this ships in the package.
@@ -178,3 +179,15 @@ def projector(psi: BipartitePure) -> DensityMatrix:
 def complex_matrix_to_json(m: np.ndarray) -> list:
     """Nested [re, im] pairs, row-major: what the CLI reads as a matrix."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
+def haar_basis(dim: int, seed: int, index: int) -> np.ndarray:
+    """Haar basis ``index`` of ``seed``, drawn on its own: a generator jumped
+    ``index`` times past the start of the Philox stream of ``seed``, one
+    single-matrix QR and the phase fix, written out apart from the package's
+    stacked sampler."""
+    rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    phases = np.diag(r)
+    return q * (phases / np.abs(phases))

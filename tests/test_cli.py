@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import json
@@ -738,6 +739,7 @@ class TestUsageErrors:
             ("coincidence", {}, "bases", cli.BASES_CAP),
             ("coincidence", {}, "dims", cli.DIMENSION_CAP),
             ("optimality", {}, "max_objects", cli.MAX_OBJECTS_CAP),
+            ("coincidence", {}, "seed", cli.PHILOX_KEY_BOUND - 1),
         ],
     )
     def test_verify_sizes_are_capped_before_sampling(
@@ -781,6 +783,19 @@ class TestUsageErrors:
                                         "max_objects": cli.MAX_OBJECTS_CAP, "seed": 0})
         assert code == 0
         assert json.loads(out)["checked"] == 50
+
+    def test_coincidence_seed_is_bounded_by_its_last_key(self, tmp_path, capsys):
+        # sample i measures with Philox key seed + i, which must stay below 2**128
+        def run_at(seed):
+            return run_main(tmp_path, {"command": "verify", "property": "coincidence",
+                                       "samples": 2, "dims": [2], "bases": 1, "seed": seed})
+
+        code, out = run_at(cli.PHILOX_KEY_BOUND - 2)
+        assert (code, json.loads(out)["checked"]) == (0, 2)
+        assert run_at(cli.PHILOX_KEY_BOUND - 1) == (2, "")
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert f"'seed' must be at most {cli.PHILOX_KEY_BOUND - 2}" in err
 
     @pytest.mark.parametrize(
         "cfg",
@@ -946,6 +961,60 @@ class TestUsageErrors:
             # interpreter exit cannot raise
             stream.flush()
             stream.close()
+
+
+USAGE = "usage: kanext [-h] --config CONFIG [--seed SEED] [--out OUT]\n"
+
+
+class TestFlags:
+    """The three flags, as argparse prints them at a fixed terminal width."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_help(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["--help"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out == USAGE + (
+            "\n"
+            "Reachability, monotone extensions, and property checks for resource theories,\n"
+            "driven by a JSON config.\n"
+            "\n"
+            "options:\n"
+            "  -h, --help       show this help message and exit\n"
+            "  --config CONFIG  path to the JSON config, or - for stdin\n"
+            "  --seed SEED      override the config seed\n"
+            "  --out OUT        override the config output path\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ([], "the following arguments are required: --config"),
+            (["--config", "run.json", "--seed", "abc"],
+             "argument --seed: invalid int value: 'abc'"),
+            (["--config", "run.json", "--nope"], "unrecognized arguments: --nope"),
+        ],
+    )
+    def test_usage_errors_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{USAGE}kanext: error: {message}\n"
+
+    def test_parser_is_built_once_per_process(self, tmp_path, monkeypatch):
+        def no_parser(*args, **kwargs):
+            raise AssertionError("main built a new ArgumentParser")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_parser)
+        cfg = {"command": "reach", "theory": "rand_uniform", "source": [0.7, 0.3],
+               "target": [0.5, 0.5]}
+        for _ in range(2):
+            assert run_main(tmp_path, cfg)[0] == 0
 
 
 def assert_one_error_line(err: str):

@@ -11,8 +11,8 @@ from kanext.quantum import (
     complex_matrix_from_json,
     eig_hermitian,
     embed_classical,
-    haar_basis,
     basis_outcomes,
+    haar_bases,
     locc_convertible_pure,
     measurement_entropy_search,
     outcome_rows,
@@ -29,6 +29,7 @@ from maps import (
     apply_channel,
     complex_matrix_to_json,
     embed_stochastic,
+    haar_basis,
     is_uniform_matrix,
     is_unital,
     maximally_mixed,
@@ -309,9 +310,9 @@ class TestMeasurementEntropySearch:
         for dim in (1, 2, 3, 4, 6):
             rho = random_density(rng, dim)
             for samples, seed in ((1, 0), (7, 3), (30, 9)):
-                bases = [rho.spectrum.eigenvectors] + [
-                    haar_basis(dim, seed, k) for k in range(samples)
-                ]
+                sampled = [haar_basis(dim, seed, k) for k in range(samples)]
+                assert np.array_equal(haar_bases(dim, seed, samples), np.stack(sampled))
+                bases = [rho.spectrum.eigenvectors, *sampled]
                 each = [
                     shannon_entropy(basis_outcomes(rho, np.ascontiguousarray(b))) for b in bases
                 ]
@@ -323,7 +324,8 @@ class TestOutcomeRows:
     def test_rows_are_the_one_basis_outcomes(self, rng):
         for dim in (2, 3, 5):
             rho = random_density(rng, dim)
-            bases = np.stack([haar_basis(dim, 4, k) for k in range(12)])
+            bases = haar_bases(dim, 4, 12)
+            assert np.array_equal(bases, np.stack([haar_basis(dim, 4, k) for k in range(12)]))
             rows = outcome_rows(rho, bases)
             assert not rows.flags.writeable
             for row, basis in zip(rows, bases):
@@ -332,15 +334,20 @@ class TestOutcomeRows:
 
 class TestHaarBasis:
     def test_deterministic_per_seed_and_index(self):
-        a = haar_basis(3, 42, 7)
-        b = haar_basis(3, 42, 7)
-        assert np.array_equal(a, b)
-        assert not np.allclose(haar_basis(3, 42, 8), a)
-        assert not np.allclose(haar_basis(3, 43, 7), a)
+        a = haar_bases(3, 42, 8)
+        # bit for bit the basis drawn on its own, whatever the stack's size
+        assert np.array_equal(a[7], haar_basis(3, 42, 7))
+        assert np.array_equal(haar_bases(3, 42, 20)[:8], a)
+        assert not np.allclose(a[6], a[7])
+        assert not np.allclose(haar_bases(3, 43, 8)[7], a[7])
 
     def test_orthonormal(self):
-        b = haar_basis(4, 1, 2)
-        assert np.allclose(b.conj().T @ b, np.eye(4), atol=1e-12)
+        for dim in (1, 4):
+            bases = haar_bases(dim, 1, 3)
+            assert bases.shape == (3, dim, dim)
+            gram = np.einsum("bki,bkj->bij", bases.conj(), bases)
+            assert np.allclose(gram, np.eye(dim), atol=1e-12)
+            assert np.array_equal(bases[2], haar_basis(dim, 1, 2))
 
 
 class TestPartialTrace:
